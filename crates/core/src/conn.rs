@@ -435,57 +435,95 @@ impl RfpServerConn {
     /// as before windowing. Multi-slot rings are scanned round-robin
     /// from a persistent cursor, stopping at the first pending slot.
     pub async fn try_recv(&self, thread: &ThreadCtx) -> Option<Vec<u8>> {
-        let window = self.shared.cfg.window;
+        self.note_visit();
+        for _ in 0..self.shared.cfg.window {
+            let slot = self.next_slot();
+            thread.busy(self.shared.cfg.check_cpu).await;
+            if let Some(req) = self.check_slot(thread, slot).await {
+                return Some(req);
+            }
+        }
+        None
+    }
+
+    /// Books one scan visit of this connection (`serve.scan.conns`):
+    /// the first step of [`try_recv`](RfpServerConn::try_recv).
+    pub(crate) fn note_visit(&self) {
+        if let Some(scan) = &self.scan {
+            scan.conns.incr();
+        }
+    }
+
+    /// The slot the next header check inspects; moves the round-robin
+    /// cursor past it.
+    pub(crate) fn next_slot(&self) -> usize {
+        let slot = self.scan_from.get();
+        self.scan_from.set((slot + 1) % self.shared.cfg.window);
+        slot
+    }
+
+    /// CPU cost of one header check.
+    pub(crate) fn check_cpu(&self) -> SimSpan {
+        self.shared.cfg.check_cpu
+    }
+
+    /// Books one header check (`serve.scan.slots`).
+    pub(crate) fn note_check(&self) {
+        if let Some(scan) = &self.scan {
+            scan.slots.incr();
+        }
+    }
+
+    /// `slot`'s request header if it carries a request not yet delivered
+    /// — what a header check would act on. Reads the header into a stack
+    /// buffer: an empty check allocates nothing and changes nothing.
+    pub(crate) fn new_request(&self, slot: usize) -> Option<ReqHeader> {
         // The header-window read covers the largest extension that fits
         // the slot: `decode` consumes 8, 16, or 24 bytes depending on
         // the deadline/tenant bits (capacity ≥ 16 is a `connect`
         // invariant; the tenant field needs 24 and its decode guard
         // degrades gracefully on smaller slots).
         let hdr_window = REQ_HDR_TENANT.min(self.shared.cfg.req_capacity);
-        if let Some(scan) = &self.scan {
-            scan.conns.incr();
+        let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
+        self.shared
+            .req
+            .read_local_into(self.shared.req_off(slot), &mut hdr_bytes[..hdr_window]);
+        let hdr = ReqHeader::decode(&hdr_bytes[..hdr_window]);
+        (hdr.valid && hdr.seq != self.slots[slot].last_seq.get()).then_some(hdr)
+    }
+
+    /// Checks `slot`, its check CPU already paid, and delivers its
+    /// request if it is new.
+    pub(crate) async fn check_slot(&self, thread: &ThreadCtx, slot: usize) -> Option<Vec<u8>> {
+        self.note_check();
+        let hdr = self.new_request(slot)?;
+        let base = self.shared.req_off(slot);
+        let st = &self.slots[slot];
+        st.last_seq.set(hdr.seq);
+        st.cur_seq.set(hdr.seq);
+        st.cur_deadline.set(hdr.deadline);
+        st.cur_tenant.set(hdr.tenant);
+        st.pickup.set(thread.now());
+        self.cur_slot.set(slot);
+        if hdr.epoch != self.epoch.get() {
+            // Epoch fence: the request was stamped in a different
+            // replication epoch than this server serves in — either a
+            // stale client that has not learned of a failover, or a
+            // client that moved on while *we* are the deposed
+            // ex-primary. Never deliver it to the application (so no
+            // split-brain write is ever acked); answer `Fenced` carrying
+            // our epoch so a lagging client can catch up.
+            self.reject(thread, RespStatus::Fenced).await;
+            return None;
         }
-        for _ in 0..window {
-            let slot = self.scan_from.get();
-            self.scan_from.set((slot + 1) % window);
-            thread.busy(self.shared.cfg.check_cpu).await;
-            if let Some(scan) = &self.scan {
-                scan.slots.incr();
-            }
-            let base = self.shared.req_off(slot);
-            let hdr_bytes = self.shared.req.read_local(base, hdr_window);
-            let hdr = ReqHeader::decode(&hdr_bytes);
-            let st = &self.slots[slot];
-            if !hdr.valid || hdr.seq == st.last_seq.get() {
-                continue;
-            }
-            st.last_seq.set(hdr.seq);
-            st.cur_seq.set(hdr.seq);
-            st.cur_deadline.set(hdr.deadline);
-            st.cur_tenant.set(hdr.tenant);
-            st.pickup.set(thread.now());
-            self.cur_slot.set(slot);
-            if hdr.epoch != self.epoch.get() {
-                // Epoch fence: the request was stamped in a different
-                // replication epoch than this server serves in — either
-                // a stale client that has not learned of a failover, or
-                // a client that moved on while *we* are the deposed
-                // ex-primary. Never deliver it to the application (so no
-                // split-brain write is ever acked); answer `Fenced`
-                // carrying our epoch so a lagging client can catch up.
-                self.reject(thread, RespStatus::Fenced).await;
-                continue;
-            }
-            if let Some(span) = self.shared.span_mut(slot).as_mut() {
-                span.mark_unordered(thread.now(), "server_dequeued");
-            }
-            return Some(
-                self.shared
-                    .req
-                    .read_local(base + hdr.wire_len(), hdr.size as usize),
-            );
+        if let Some(span) = self.shared.span_mut(slot).as_mut() {
+            span.mark_unordered(thread.now(), "server_dequeued");
         }
-        None
+        Some(
+            self.shared
+                .req
+                .read_local(base + hdr.wire_len(), hdr.size as usize),
+        )
     }
 
     /// `W`: ring slots of this connection (the most requests a pipelined
@@ -665,8 +703,7 @@ impl RfpServerConn {
             );
         }
 
-        let mode = self.shared.mode.read_local(0, 1)[0];
-        if mode == MODE_SERVER_REPLY {
+        if self.mode() == Mode::ServerReply {
             self.replied_out_of_band
                 .set(self.replied_out_of_band.get() + 1);
             let trailer = if integrity_on { RESP_TRAILER } else { 0 };
@@ -757,7 +794,9 @@ impl RfpServerConn {
 
     /// Current mode flag as last written by the client.
     pub fn mode(&self) -> Mode {
-        if self.shared.mode.read_local(0, 1)[0] == MODE_SERVER_REPLY {
+        let mut flag = [0u8; 1];
+        self.shared.mode.read_local_into(0, &mut flag);
+        if flag[0] == MODE_SERVER_REPLY {
             Mode::ServerReply
         } else {
             Mode::RemoteFetch

@@ -41,15 +41,25 @@
 //! idle backoff are reproduced exactly, and the byte-identity proptest
 //! (`tests/reactor_identity.rs`) pins registry CSV, trace, and payload
 //! equality against a frozen copy of the pre-refactor loops.
+//!
+//! # Idle chains
+//!
+//! A Plain-policy core without stealing does not replay its empty
+//! checks as polls: each check is handed to an idle chain, a `Tick` the
+//! executor steps in the core's place (same timer positions, same
+//! charges), and the core wakes only where a step needs it — a new
+//! request or a crash (DESIGN §17.1).
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
-use std::rc::Rc;
+use std::pin::Pin;
+use std::rc::{Rc, Weak};
+use std::task::{Context, Poll, Waker};
 
 use rfp_rnic::{CoreMeter, Handoff, RunQueue, ThreadCtx};
 use rfp_simnet::{
     CoreLoad, CoreSkewReport, Counter, FlightRecorder, Gauge, MetricsRegistry, Severity, SimSpan,
-    SimTime,
+    SimTime, Tick,
 };
 
 use crate::conn::RfpServerConn;
@@ -174,12 +184,159 @@ struct CoreState {
     /// Requests siblings took from this core's domain.
     stolen: Cell<u64>,
     gauges: Option<CoreGauges>,
+    /// Steps this core's idle checks without polling it (Plain policy
+    /// without stealing; see [`IdleRun`]).
+    ticker: Option<Rc<IdleTicker>>,
+    /// The idle stretch in progress, if the core is parked on one.
+    idle: RefCell<Option<IdleRun>>,
 }
 
+/// A Plain core's position in its scan: about to pay check `j` of the
+/// `tries`-th `try_recv` of its visit to connection `ci`.
+#[derive(Copy, Clone, Debug, Default)]
+struct Cursor {
+    ci: usize,
+    tries: usize,
+    j: usize,
+}
+
+/// Running totals of one scan.
+#[derive(Copy, Clone, Debug, Default)]
+struct ScanState {
+    served_any: bool,
+    backlog: usize,
+}
+
+/// Where a core picks up when its idle chain hands control back.
+#[derive(Copy, Clone, Debug)]
+enum Paced {
+    /// Read `slot`: its check is paid and the header holds a new request.
+    Read(usize),
+    /// Start the `try_recv` at the cursor: a crash check is due and the
+    /// machine is down.
+    Resume,
+    /// Go back to the loop top, likewise for its crash check.
+    Restart,
+}
+
+/// The step an idle chain's pending timer completes.
+#[derive(Copy, Clone, Debug)]
+enum IdleStep {
+    /// The header read of a paid check.
+    Check(usize),
+    /// The end of the idle spin after an empty scan.
+    Spin,
+    /// The end of a backoff nap.
+    Nap,
+}
+
+/// An idle stretch of a Plain core, stepped by the executor (DESIGN
+/// §17.1). While its checks find nothing, a serve core's
+/// loop only moves cursors, books counters and sleeps; the executor runs
+/// those steps as [`Tick`]s — each at the timer position the stepped
+/// core's own timer would have, with the same charges — and wakes the
+/// core only for the step that needs it.
+struct IdleRun {
+    step: IdleStep,
+    cur: Cursor,
+    scan: ScanState,
+    nap: SimSpan,
+    waker: Option<Waker>,
+    resume: Option<Paced>,
+}
+
+impl IdleRun {
+    /// Ends the chain: the core resumes at `at`, polled in this tick's
+    /// place.
+    fn hand_back(&mut self, at: Paced) -> Option<SimTime> {
+        self.resume = Some(at);
+        if let Some(waker) = self.waker.take() {
+            waker.wake();
+        }
+        None
+    }
+}
+
+/// The tick of one core's idle chain.
+struct IdleTicker {
+    shared: Weak<Shared>,
+    core: usize,
+}
+
+impl Tick for IdleTicker {
+    fn tick(&self, now: SimTime) -> Option<SimTime> {
+        self.shared.upgrade()?.idle_tick(self.core, now)
+    }
+}
+
+/// Parks a core until its idle chain hands control back.
+struct IdleWait<'a> {
+    core: &'a CoreState,
+}
+
+impl Future for IdleWait<'_> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let mut idle = self.core.idle.borrow_mut();
+        let run = idle.as_mut().expect("an idle run is in progress");
+        if run.resume.is_some() {
+            return Poll::Ready(());
+        }
+        run.waker = Some(cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+impl CoreState {
+    /// The scan-end stamp of `core_loop`: the backlog the scan found.
+    fn note_backlog(&self, backlog: usize) {
+        self.last_backlog.set(backlog);
+        if let Some(g) = &self.gauges {
+            g.queue_depth.set(backlog as i64);
+        }
+    }
+
+    /// Pays the check at the cursor as `try_recv` does (moves the
+    /// connection's scan cursor, books the check CPU) and returns when
+    /// its header read is due.
+    fn arm_check(&self, run: &mut IdleRun, now: SimTime) -> SimTime {
+        let conn = &self.conns[run.cur.ci].conn;
+        let slot = conn.next_slot();
+        let span = self.thread.cpu_span(conn.check_cpu());
+        self.thread.note_busy(span);
+        run.step = IdleStep::Check(slot);
+        now + span
+    }
+
+    /// A `try_recv` starts at the cursor: crash check, one scan visit,
+    /// first check.
+    fn start_try(&self, run: &mut IdleRun, now: SimTime) -> Option<SimTime> {
+        if self.thread.machine().faults().is_crashed() {
+            return run.hand_back(Paced::Resume);
+        }
+        self.conns[run.cur.ci].conn.note_visit();
+        Some(self.arm_check(run, now))
+    }
+
+    /// The top of `core_loop`: crash check, then a fresh scan.
+    fn loop_top(&self, run: &mut IdleRun, now: SimTime) -> Option<SimTime> {
+        if self.thread.machine().faults().is_crashed() {
+            return run.hand_back(Paced::Restart);
+        }
+        run.cur = Cursor::default();
+        run.scan = ScanState::default();
+        self.start_try(run, now)
+    }
+}
+
+#[derive(Default)]
 struct ScanOutcome {
     served_any: bool,
     crashed: bool,
     backlog: usize,
+    /// The scan ended at the loop top (an idle chain passed its end).
+    restart: bool,
 }
 
 /// What to do with a request a thief pulled off a victim's ring,
@@ -223,7 +380,8 @@ impl Reactor {
         policy: ReactorPolicy,
     ) -> Reactor {
         assert!(!cores.is_empty(), "reactor with no cores");
-        let states = cores
+        let idle: IdlePolicy = idle.into();
+        let states: Vec<CoreState> = cores
             .into_iter()
             .enumerate()
             .map(|(i, spec)| {
@@ -269,18 +427,31 @@ impl Reactor {
                     steals: Cell::new(0),
                     stolen: Cell::new(0),
                     gauges,
+                    ticker: None,
+                    idle: RefCell::new(None),
                 }
             })
             .collect();
         Reactor {
-            shared: Rc::new(Shared {
-                policy,
-                idle: idle.into(),
-                steal: cfg.steal,
-                steal_batch: cfg.steal_batch.max(1),
-                recorder: cfg.recorder,
-                handoff: Handoff::new(cfg.handoff_cost),
-                cores: states,
+            shared: Rc::new_cyclic(|shared: &Weak<Shared>| {
+                let mut states = states;
+                if policy == ReactorPolicy::Plain && !cfg.steal {
+                    for (i, core) in states.iter_mut().enumerate() {
+                        core.ticker = Some(Rc::new(IdleTicker {
+                            shared: Weak::clone(shared),
+                            core: i,
+                        }));
+                    }
+                }
+                Shared {
+                    policy,
+                    idle,
+                    steal: cfg.steal,
+                    steal_batch: cfg.steal_batch.max(1),
+                    recorder: cfg.recorder,
+                    handoff: Handoff::new(cfg.handoff_cost),
+                    cores: states,
+                }
             }),
         }
     }
@@ -388,15 +559,15 @@ async fn core_loop(shared: Rc<Shared>, me: usize) {
             continue;
         }
         let scan = match shared.policy {
-            ReactorPolicy::Plain => shared.scan_plain(me, &thread).await,
+            ReactorPolicy::Plain => shared.scan_plain(me, &thread, &mut nap).await,
             ReactorPolicy::Overload => shared.scan_overload(me, &thread).await,
             ReactorPolicy::Tenant => shared.scan_tenant(me, &thread).await,
         };
-        let core = &shared.cores[me];
-        core.last_backlog.set(scan.backlog);
-        if let Some(g) = &core.gauges {
-            g.queue_depth.set(scan.backlog as i64);
+        if scan.restart {
+            continue;
         }
+        let core = &shared.cores[me];
+        core.note_backlog(scan.backlog);
         let mut served_any = scan.served_any;
         // Only an otherwise-idle core goes hunting, and never on a
         // crashed machine.
@@ -482,45 +653,209 @@ impl Shared {
 
     /// The classic scan: every pending request is processed in scan
     /// order, each connection drained (up to its ring window) per
-    /// visit.
-    async fn scan_plain(&self, me: usize, thread: &ThreadCtx) -> ScanOutcome {
+    /// visit. Written as a cursor over checks so that [`pace`] can hand
+    /// empty checks to the core's idle chain, which may carry the core
+    /// on into later scans; their state then replaces this one's.
+    ///
+    /// [`pace`]: Shared::pace
+    async fn scan_plain(&self, me: usize, thread: &ThreadCtx, nap: &mut SimSpan) -> ScanOutcome {
         let core = &self.cores[me];
-        let mut served_any = false;
+        let mut scan = ScanState::default();
+        let mut cur = Cursor::default();
         let mut crashed = false;
-        let mut backlog = 0usize;
-        'conns: for oc in &core.conns {
-            if !oc.try_claim() {
+        while cur.ci < core.conns.len() {
+            let oc = &core.conns[cur.ci];
+            if cur.tries == 0 && cur.j == 0 && !oc.try_claim() {
+                cur.ci += 1;
                 continue;
             }
-            for _ in 0..oc.conn.window() {
+            if cur.j == 0 {
+                // A new try_recv: crash check, then one scan visit.
                 if thread.machine().faults().is_crashed() {
                     crashed = true;
+                    oc.release();
                     break;
                 }
-                let Some(req) = oc.conn.try_recv(thread).await else {
-                    break;
-                };
-                backlog += 1;
-                let slot = oc.conn.reply_slot();
-                if !self
-                    .service_one(me, thread, &oc.conn, &req, None, slot)
-                    .await
-                {
-                    crashed = true;
-                    break;
-                }
-                served_any = true;
-                self.note_served(me);
+                oc.conn.note_visit();
             }
-            oc.release();
-            if crashed {
-                break 'conns;
+            // The idle chain moves the cursor between visits without
+            // claiming; re-seat the claim wherever the core resumes.
+            let from = cur.ci;
+            let slot = match self.pace(me, thread, &mut cur, &mut scan, nap).await {
+                Paced::Read(slot) => {
+                    core.conns[from].release();
+                    core.conns[cur.ci].try_claim();
+                    slot
+                }
+                Paced::Resume => {
+                    core.conns[from].release();
+                    continue;
+                }
+                Paced::Restart => {
+                    core.conns[from].release();
+                    return ScanOutcome {
+                        restart: true,
+                        ..ScanOutcome::default()
+                    };
+                }
+            };
+            let oc = &core.conns[cur.ci];
+            let window = oc.conn.window();
+            let Some(req) = oc.conn.check_slot(thread, slot).await else {
+                cur.j += 1;
+                if cur.j == window {
+                    // try_recv came up empty: the visit ends.
+                    oc.release();
+                    cur = Cursor {
+                        ci: cur.ci + 1,
+                        ..Cursor::default()
+                    };
+                }
+                continue;
+            };
+            scan.backlog += 1;
+            let slot = oc.conn.reply_slot();
+            if !self
+                .service_one(me, thread, &oc.conn, &req, None, slot)
+                .await
+            {
+                crashed = true;
+                oc.release();
+                break;
+            }
+            scan.served_any = true;
+            self.note_served(me);
+            cur.tries += 1;
+            cur.j = 0;
+            if cur.tries == window {
+                oc.release();
+                cur = Cursor {
+                    ci: cur.ci + 1,
+                    ..Cursor::default()
+                };
             }
         }
         ScanOutcome {
-            served_any,
+            served_any: scan.served_any,
             crashed,
-            backlog,
+            backlog: scan.backlog,
+            restart: false,
+        }
+    }
+
+    /// Pays for the header check at `cur`. A core with an idle chain
+    /// hands the check to it and sleeps: the executor steps every check,
+    /// scan end, spin and nap that finds nothing, and wakes the core
+    /// where one needs it — a header holding a new request, or a crash
+    /// check on a machine that is down. `cur`, `scan` and `nap` then
+    /// hold the core's state at that point. Without a chain the core
+    /// steps the check itself.
+    async fn pace(
+        &self,
+        me: usize,
+        thread: &ThreadCtx,
+        cur: &mut Cursor,
+        scan: &mut ScanState,
+        nap: &mut SimSpan,
+    ) -> Paced {
+        let core = &self.cores[me];
+        let Some(ticker) = &core.ticker else {
+            let conn = &core.conns[cur.ci].conn;
+            let slot = conn.next_slot();
+            thread.busy(conn.check_cpu()).await;
+            return Paced::Read(slot);
+        };
+        let mut run = IdleRun {
+            step: IdleStep::Spin,
+            cur: *cur,
+            scan: *scan,
+            nap: *nap,
+            waker: None,
+            resume: None,
+        };
+        let now = thread.now();
+        let at = core.arm_check(&mut run, now);
+        *core.idle.borrow_mut() = Some(run);
+        // A free check is read within this poll, as `busy` would.
+        let due = if at == now {
+            self.idle_tick(me, now)
+        } else {
+            Some(at)
+        };
+        if let Some(due) = due {
+            thread
+                .handle()
+                .schedule_tick(due, Rc::clone(ticker) as Rc<dyn Tick>);
+        }
+        IdleWait { core }.await;
+        let run = core.idle.borrow_mut().take().expect("an idle run");
+        *cur = run.cur;
+        *scan = run.scan;
+        *nap = run.nap;
+        run.resume.expect("the idle chain handed back")
+    }
+
+    /// Runs core `me`'s idle chain at `now`: completes the pending step
+    /// as the stepped loop would at this instant, and the steps after it
+    /// while they take no time, then returns when the next is due — or
+    /// hands control back to the core (see [`Shared::pace`]).
+    fn idle_tick(&self, me: usize, now: SimTime) -> Option<SimTime> {
+        let core = &self.cores[me];
+        let mut idle = core.idle.borrow_mut();
+        let run = idle.as_mut()?;
+        loop {
+            // A zero-length busy or sleep completes within the poll that
+            // started it, so the chain goes on at this instant too.
+            match self.idle_step(core, run, now) {
+                Some(next) if next == now => continue,
+                next => return next,
+            }
+        }
+    }
+
+    /// One step of an idle chain (see [`Shared::idle_tick`]).
+    fn idle_step(&self, core: &CoreState, run: &mut IdleRun, now: SimTime) -> Option<SimTime> {
+        match run.step {
+            IdleStep::Check(slot) => {
+                let conn = &core.conns[run.cur.ci].conn;
+                if conn.new_request(slot).is_some() {
+                    return run.hand_back(Paced::Read(slot));
+                }
+                conn.note_check();
+                run.cur.j += 1;
+                if run.cur.j < conn.window() {
+                    return Some(core.arm_check(run, now));
+                }
+                // The try_recv came up empty: the visit ends.
+                run.cur = Cursor {
+                    ci: run.cur.ci + 1,
+                    ..Cursor::default()
+                };
+                if run.cur.ci < core.conns.len() {
+                    return core.start_try(run, now);
+                }
+                // Scan end: the tail of `core_loop`.
+                core.note_backlog(run.scan.backlog);
+                if run.scan.served_any {
+                    run.nap = SimSpan::ZERO;
+                    return core.loop_top(run, now);
+                }
+                core.meter.note_empty_scan();
+                let spin = core.thread.cpu_span(self.idle.spin);
+                core.thread.note_busy(spin);
+                run.step = IdleStep::Spin;
+                Some(now + spin)
+            }
+            IdleStep::Spin => {
+                run.nap = self.idle.next_nap(run.nap);
+                if run.nap.is_zero() {
+                    return core.loop_top(run, now);
+                }
+                core.meter.note_nap(run.nap);
+                run.step = IdleStep::Nap;
+                Some(now + run.nap)
+            }
+            IdleStep::Nap => core.loop_top(run, now),
         }
     }
 
@@ -613,6 +948,7 @@ impl Shared {
             served_any,
             crashed,
             backlog,
+            restart: false,
         }
     }
 
@@ -698,6 +1034,7 @@ impl Shared {
             served_any,
             crashed,
             backlog,
+            restart: false,
         }
     }
 

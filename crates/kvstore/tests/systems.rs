@@ -447,3 +447,32 @@ fn fleet_mux_serves_many_logicals_over_few_conns() {
     let report = sys.tenant_health.report(sim.now());
     assert_eq!(report.conns.len(), 4, "one health window per tenant");
 }
+
+/// Simulator cost of a lightly loaded Jakiro, pinned as a count: the
+/// `get95_light` benchmark shape (35 clients with 20 µs mean think time,
+/// server cores idle ~70% of the time) over a 1 ms window. The serve
+/// cores' empty checks run as executor ticks, not task polls, so polls
+/// stay near the clients' own (about 12 per call) instead of ~132 per
+/// call.
+#[test]
+fn light_jakiro_window_poll_count_is_pinned() {
+    let cfg = SystemConfig {
+        think_time: SimSpan::micros(20),
+        seed: 42,
+        ..SystemConfig::default()
+    };
+    let mut sim = Simulation::new(cfg.seed);
+    let sys = spawn_jakiro(&mut sim, &cfg);
+    sim.run_for(SimSpan::millis(1));
+    sys.reset_measurements();
+    let before = sim.counters();
+    sim.run_for(SimSpan::millis(1));
+    let after = sim.counters();
+    let calls = sys.stats.completed.get();
+    let polls = after.polls - before.polls;
+    let ticks = after.ticks - before.ticks;
+    assert!(calls > 1_400, "{calls} calls");
+    // 22 380 polls and 180 829 ticks for 1 473 calls at seed 42.
+    assert!(polls <= 23_000, "{polls} polls for {calls} calls");
+    assert!(ticks > 150_000, "{ticks} idle ticks");
+}

@@ -169,14 +169,20 @@ impl ThreadCtx {
     /// clock). Used for request processing (`P`) and software verb costs.
     /// A straggler fault on the machine inflates the span.
     pub async fn busy(&self, span: SimSpan) {
+        let span = self.cpu_span(span);
+        self.busy.add_busy(span);
+        self.handle.sleep(span).await;
+    }
+
+    /// How long `span` of CPU work takes on this thread right now: the
+    /// span itself, inflated by a straggler fault on the machine.
+    pub fn cpu_span(&self, span: SimSpan) -> SimSpan {
         let factor = self.machine.faults().cpu_factor();
-        let span = if factor == 1.0 {
+        if factor == 1.0 {
             span
         } else {
             SimSpan::from_nanos_f64(span.as_nanos() as f64 * factor)
-        };
-        self.busy.add_busy(span);
-        self.handle.sleep(span).await;
+        }
     }
 
     /// Busy-waits until `fut` completes: the elapsed time counts as CPU

@@ -5,6 +5,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The reactor identity oracle (idle chains replay the frozen legacy
+# serve loops byte for byte) and the executor's own suite.
+cargo test --release -q -p rfp-core --test reactor_identity
+cargo test --release -q -p rfp-simnet
 cargo clippy -- -D warnings
 cargo clippy -p rfp-chaos -- -D warnings
 cargo clippy -p rfp-core -p rfp-kvstore -p rfp-bench -p rfp-rnic -- -D warnings
