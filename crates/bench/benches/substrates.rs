@@ -9,9 +9,7 @@ use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use rfp_kvstore::{
-    crc64, hash_bytes, CompactPartition, KvRequest, KvResponse, LruCache, Partition, PilafStore,
-};
+use rfp_kvstore::{crc64, hash_bytes, KvRequest, KvResponse, LruCache, Partition, PilafStore};
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::Simulation;
 use rfp_workload::Zipf;
@@ -36,22 +34,6 @@ fn bench_hash(c: &mut Criterion) {
 
 fn bench_partition(c: &mut Criterion) {
     let mut g = c.benchmark_group("bucket_partition");
-    g.bench_function("compact_put_get_mixed", |b| {
-        let mut part = CompactPartition::new(4096);
-        for i in 0..10_000u32 {
-            part.put(&i.to_le_bytes(), b"value-32-bytes-value-32-bytes-vv");
-        }
-        let mut i = 0u32;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            let key = (i % 10_000).to_le_bytes();
-            if i.is_multiple_of(20) {
-                part.put(black_box(&key), b"value-32-bytes-value-32-bytes-vv");
-            } else {
-                black_box(part.get(black_box(&key)));
-            }
-        });
-    });
     g.bench_function("put_get_mixed", |b| {
         let mut part = Partition::new(4096);
         for i in 0..10_000u32 {

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rfp_rnic::{Qp, ThreadCtx};
+use rfp_rnic::{Qp, ThreadCtx, VerbError};
 use rfp_simnet::{
     derive_seed, retry_with_deadline, timeout, ConnHealth, Counter, Gauge, Histogram, RequestTrace,
     RetryPolicy, Severity, SimSpan, SimTime,
@@ -15,12 +15,14 @@ use rfp_simnet::{
 
 use crate::conn::{Mode, RfpTelemetry, Shared, MODE_REMOTE_FETCH, MODE_SERVER_REPLY};
 use crate::header::{
-    ReqHeader, RespHeader, RespStatus, REQ_HDR, REQ_HDR_EXT, REQ_HDR_TENANT, RESP_HDR,
-    RESP_HDR_EXT, RESP_TRAILER,
+    ReqHeader, RespHeader, RespStatus, REQ_HDR_TENANT, RESP_HDR, RESP_HDR_EXT, RESP_TRAILER,
 };
 use crate::integrity::{verify_response, IntegrityFault};
-use crate::overload::OverloadConfig;
+use crate::overload::{rejected_call, OverloadConfig};
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
+
+#[cfg(test)]
+mod oracle;
 
 /// Registry-backed instruments of one connection, created when the
 /// config carries an [`RfpTelemetry`].
@@ -103,25 +105,6 @@ pub struct CallInfo {
     /// integrity verification (torn DMA, bit flips). Always 0 with the
     /// integrity layer off.
     pub integrity_retries: u32,
-}
-
-/// One in-flight hedge leg: a request deposited by
-/// [`RfpClient::hedge_deposit`] and polled by
-/// [`RfpClient::hedge_poll`]. The replica router holds one ticket per
-/// leg of a hedged call and races them; a ticket abandoned mid-flight
-/// is harmless — the next call on its connection allocates a fresh
-/// sequence number, so a late response to the abandoned seq fails the
-/// acceptance check and is never surfaced.
-pub(crate) struct HedgeTicket {
-    slot: usize,
-    seq: u32,
-    /// Fetch READs issued against this leg so far.
-    pub(crate) fetches: u32,
-    /// When this leg's deposit was issued. The router books the
-    /// winning leg's health with the latency since *its own* deposit —
-    /// attributing time the racing loop spent blocked on the other
-    /// (possibly gray) leg would poison the healthy replica's score.
-    pub(crate) deposited_at: SimTime,
 }
 
 /// Aggregated client statistics.
@@ -253,56 +236,85 @@ impl ClientStats {
 /// errored one (see [`RfpClient::set_reconnect`]).
 pub type QpFactory = Box<dyn Fn() -> Rc<Qp>>;
 
-/// Mutable state shared by the attempts of one recovered call.
-struct AttemptState<'a> {
-    req: &'a [u8],
-    /// Absolute deadline stamped into the wire header (overload only).
-    stamp: Option<SimTime>,
-    /// Stage the request under a fresh sequence number before the next
-    /// submission: set initially and after a `Busy`/`Shed` rejection
-    /// (whose request was never executed, so a new seq cannot
-    /// double-execute — while reusing the rejected seq would match the
-    /// stale verdict response forever).
-    refresh: Cell<bool>,
-    /// Fetch READs issued across all attempts.
-    fetches: Cell<u32>,
-    /// Fetches discarded by integrity verification across all attempts.
-    integrity_retries: Cell<u32>,
-    /// Escalation marker set when an attempt exhausted its
-    /// verify-and-refetch budget ([`FailureCause::Corrupt`]): the next
-    /// attempt re-establishes the QP even though it reports no error
-    /// state — persistent corruption on a "healthy" QP is the one fault
-    /// the transport cannot see.
-    force_reconnect: Cell<bool>,
-}
+/// Panic messages of the engines that run without a recovery path, as
+/// the infallible [`Qp`] verbs word them.
+const WRITE_FAILED: &str = "WRITE failed on a QP with no recovery path";
+const READ_FAILED: &str = "READ failed on a QP with no recovery path";
 
-/// One outstanding call of the pipelined driver
-/// ([`RfpClient::call_pipelined`]).
-struct Flight {
-    /// Index into the caller's request batch (and the result vector).
-    idx: usize,
-    /// Ring slot carrying this call.
+/// One staged call: its request sits in ring `slot` under `seq`. Every
+/// entry point drives its calls through the same four steps —
+/// [`stage`](RfpClient::stage), [`deposit`](RfpClient::deposit),
+/// [`poll`](RfpClient::poll) and [`book`](RfpClient::book) — and keeps
+/// only the loop that is its policy. A flight abandoned mid-race (a
+/// losing hedge leg) is harmless: the next call on its connection
+/// allocates a fresh seq, so a late response to the abandoned one fails
+/// the acceptance check and is never surfaced.
+#[derive(Copy, Clone)]
+pub(crate) struct Flight {
     slot: usize,
     seq: u32,
     /// Staged request bytes on the wire (header + payload).
     wire_len: usize,
-    /// When the call was staged (latency epoch, like `sent_at`).
+    /// When the call was staged (latency epoch).
     t0: SimTime,
-    /// Fetch READs that actually sampled the slot (the paper's `N`).
-    attempts: u32,
-    integrity_retries: u32,
+    /// Whether the call opened a request span. Untraced flights
+    /// (recovered calls and hedge legs) mark no span milestones and do
+    /// not bump the `extra_reads` instrument.
+    traced: bool,
+    /// The request WRITE has deposited.
+    deposited: bool,
+    /// Fetch READs that sampled the slot (the paper's `N`).
+    pub(crate) attempts: u32,
+    /// Fetches discarded by integrity verification.
+    pub(crate) integrity_retries: u32,
+    /// Whether any poll needed the remainder READ.
+    extra_read: bool,
     /// Whether this call already counted toward the consecutive-overrun
-    /// guard (at most once per call, like the sequential path).
+    /// guard (at most once per call).
     counted_over: bool,
-    /// The request WRITE has not (successfully) deposited yet.
-    needs_send: bool,
+}
+
+impl Flight {
+    /// Carries `prev`'s counters into this flight, so a call spread over
+    /// several flights (resubmissions under fresh seqs, hedge legs)
+    /// counts as one call.
+    pub(crate) fn carry(mut self, prev: Option<Flight>) -> Flight {
+        if let Some(prev) = prev {
+            self.attempts += prev.attempts;
+            self.integrity_retries += prev.integrity_retries;
+            self.extra_read |= prev.extra_read;
+        }
+        self
+    }
+}
+
+/// What one [`poll`](RfpClient::poll) found in a flight's landing zone.
+pub(crate) enum Polled {
+    /// No response for this flight yet (poll again).
+    Miss,
+    /// A matching response failed integrity verification; the fetched
+    /// image was discarded (poll again).
+    Corrupt,
+    /// The response landed and verified.
+    Landed(RespStatus, CallResult),
 }
 
 /// Client endpoint of one RFP connection, bound to one simulated thread.
 ///
-/// Implements the paper's `client_send` / `client_recv` (Table 2) plus
-/// the [`call`](RfpClient::call) convenience wrapper, the hybrid
-/// remote-fetch ↔ server-reply switch, and the two-segment fetch.
+/// The paper's Table 2 API maps onto the two connection endpoints:
+///
+/// | Table 2 | Here |
+/// |---|---|
+/// | `client_send` | [`RfpClient::send`] |
+/// | `client_recv` | [`RfpClient::recv`] |
+/// | `server_recv` | [`RfpServerConn::try_recv`](crate::RfpServerConn::try_recv) |
+/// | `server_send` | [`RfpServerConn::send`](crate::RfpServerConn::send) |
+/// | `malloc_buf` / `free_buf` | the registered regions [`connect`](crate::connect) allocates |
+///
+/// On top of Table 2 the client adds the [`call`](RfpClient::call)
+/// wrapper, the hybrid remote-fetch ↔ server-reply switch, the
+/// two-segment fetch, and the pipelined, overload-aware and recovering
+/// call engines.
 pub struct RfpClient {
     shared: Rc<Shared>,
     qp: RefCell<Rc<Qp>>,
@@ -319,8 +331,9 @@ pub struct RfpClient {
     slot_seq: Vec<Cell<u32>>,
     /// Round-robin slot cursor for the sequential (one-at-a-time) paths.
     next_slot: Cell<usize>,
-    /// When the current call's request WRITE was issued (latency epoch).
-    sent_at: Cell<rfp_simnet::SimTime>,
+    /// The flight of the last [`send`](RfpClient::send), awaiting its
+    /// [`recv`](RfpClient::recv).
+    sent: Cell<Option<Flight>>,
     mode: Cell<Mode>,
     /// Consecutive calls whose failed retries exceeded `R`.
     consec_over: Cell<u32>,
@@ -381,7 +394,7 @@ impl RfpClient {
                 .map(|s| Cell::new((s as u32 + 1).wrapping_sub(window as u32)))
                 .collect(),
             next_slot: Cell::new(0),
-            sent_at: Cell::new(rfp_simnet::SimTime::ZERO),
+            sent: Cell::new(None),
             mode: Cell::new(initial_mode),
             consec_over: Cell::new(0),
             retry_threshold,
@@ -496,12 +509,12 @@ impl RfpClient {
         seq
     }
 
-    /// Allocates a `(slot, seq)` pair at the sequential paths' rotating
-    /// cursor. With `W = 1` this is slot 0 and `seq + 1`, always.
-    fn alloc_next_seq(&self) -> (usize, u32) {
+    /// Takes the sequential paths' next ring slot (a rotating cursor;
+    /// always slot 0 with `W = 1`).
+    fn take_slot(&self) -> usize {
         let slot = self.next_slot.get();
         self.next_slot.set((slot + 1) % self.shared.cfg.window);
-        (slot, self.alloc_seq_in(slot))
+        slot
     }
 
     /// The sequence number the next sequential allocation will return,
@@ -575,31 +588,26 @@ impl RfpClient {
         self.fetch_size.set(f);
     }
 
-    /// `client_send`: deposits a request into server memory via
-    /// one-sided WRITE.
+    /// Stages `req` into ring `slot` under the slot's next seq: encodes
+    /// the request header (with `deadline` stamped, when given) and
+    /// copies header and payload into the local ring slot. A `traced`
+    /// call also opens its request span.
     ///
     /// # Panics
     ///
-    /// Panics if `req` exceeds the request capacity.
-    pub async fn send(&self, thread: &ThreadCtx, req: &[u8]) {
-        self.send_with_deadline(thread, req, None).await
-    }
-
-    /// [`send`](RfpClient::send) with an absolute deadline stamped into
-    /// the (extended) request header, for servers running admission
-    /// control. Without a deadline the wire bytes are identical to the
-    /// legacy 8-byte header.
-    pub async fn send_with_deadline(
+    /// Panics if `req` exceeds the slot's payload headroom.
+    fn stage(
         &self,
         thread: &ThreadCtx,
+        slot: usize,
         req: &[u8],
         deadline: Option<SimTime>,
-    ) {
+        traced: bool,
+    ) -> Flight {
         let max = self.req_headroom(deadline.is_some());
         assert!(req.len() <= max, "request exceeds buffer capacity");
-        let (slot, seq) = self.alloc_next_seq();
-        self.sent_at.set(thread.now());
-        if let Some(ins) = &self.instruments {
+        let seq = self.alloc_seq_in(slot);
+        if let (true, Some(ins)) = (traced, &self.instruments) {
             *self.shared.span_mut(slot) = Some(RequestTrace::begin(
                 seq as u64,
                 ins.telemetry.track,
@@ -623,17 +631,223 @@ impl RfpClient {
             .client_req
             .write_local(base, &hdr_bytes[..hdr_len]);
         self.shared.client_req.write_local(base + hdr_len, req);
+        Flight {
+            slot,
+            seq,
+            wire_len: hdr_len + req.len(),
+            t0: thread.now(),
+            traced,
+            deposited: false,
+            attempts: 0,
+            integrity_retries: 0,
+            extra_read: false,
+            counted_over: false,
+        }
+    }
+
+    /// Deposits a staged flight's request into server memory with one
+    /// WRITE.
+    async fn deposit(&self, thread: &ThreadCtx, fl: &mut Flight) -> Result<(), VerbError> {
+        let base = self.shared.req_off(fl.slot);
         self.qp()
-            .write(
+            .try_write(
                 thread,
                 &self.shared.client_req,
                 base,
                 &self.shared.req,
                 base,
-                hdr_len + req.len(),
+                fl.wire_len,
             )
-            .await;
-        self.span_mark(thread, slot, "request_written");
+            .await?;
+        self.note_deposited(thread, fl);
+        Ok(())
+    }
+
+    /// Books a flight's completed request WRITE.
+    fn note_deposited(&self, thread: &ThreadCtx, fl: &mut Flight) {
+        fl.deposited = true;
+        if fl.traced {
+            self.span_mark(thread, fl.slot, "request_written");
+        }
+    }
+
+    /// One fetch READ of `F` bytes from the flight's landing zone, then
+    /// the landed-response check. `Err` is the verb error of either READ.
+    pub(crate) async fn poll(
+        &self,
+        thread: &ThreadCtx,
+        fl: &mut Flight,
+    ) -> Result<Polled, VerbError> {
+        let f = self.fetch_size.get();
+        let base = self.shared.resp_off(fl.slot);
+        self.qp()
+            .try_read(
+                thread,
+                &self.shared.client_resp,
+                base,
+                &self.shared.resp,
+                base,
+                f,
+            )
+            .await?;
+        self.note_fetched(thread, fl, f);
+        self.check(thread, fl, f).await
+    }
+
+    /// Books one fetch READ of `f` bytes that sampled the flight's slot.
+    fn note_fetched(&self, thread: &ThreadCtx, fl: &mut Flight, f: usize) {
+        fl.attempts += 1;
+        if fl.traced {
+            self.span_mark(thread, fl.slot, "fetch_read");
+        }
+        if let Some(ins) = &self.instruments {
+            ins.fetch_bytes.add(f as u64);
+        }
+    }
+
+    /// The landed-response check over a landing zone holding the first
+    /// `fetched` bytes of the response image: seq/epoch acceptance,
+    /// length plausibility, the remainder READ (paper §3.2: only if the
+    /// real result exceeds what was fetched), integrity verification,
+    /// and the accepted header's credit/epoch bookkeeping. A corrupt
+    /// image is noted and counted on the flight; the next READ samples
+    /// the buffer afresh.
+    async fn check(
+        &self,
+        thread: &ThreadCtx,
+        fl: &mut Flight,
+        fetched: usize,
+    ) -> Result<Polled, VerbError> {
+        thread.busy(self.shared.cfg.check_cpu).await;
+        let hdr = self.resp_hdr_at(fl.slot);
+        if !self.accept_resp(&hdr, fl.seq) {
+            return Ok(Polled::Miss);
+        }
+        let total = self.resp_total_len(&hdr);
+        if !self.resp_len_plausible(total) {
+            self.note_integrity_failure(thread, IntegrityFault::Torn);
+            fl.integrity_retries += 1;
+            return Ok(Polled::Corrupt);
+        }
+        let base = self.shared.resp_off(fl.slot);
+        let mut extra_read = false;
+        if total > fetched {
+            let rest = total - fetched;
+            self.qp()
+                .try_read(
+                    thread,
+                    &self.shared.client_resp,
+                    base + fetched,
+                    &self.shared.resp,
+                    base + fetched,
+                    rest,
+                )
+                .await?;
+            if fl.traced {
+                self.span_mark(thread, fl.slot, "extra_fetch_read");
+            }
+            if let Some(ins) = &self.instruments {
+                ins.fetch_bytes.add(rest as u64);
+            }
+            extra_read = true;
+            fl.extra_read = true;
+        }
+        if self.verify_fetched(thread, fl.slot, &hdr).is_err() {
+            fl.integrity_retries += 1;
+            return Ok(Polled::Corrupt);
+        }
+        self.note_accepted(&hdr);
+        let data = self
+            .shared
+            .client_resp
+            .read_local(base + hdr.wire_len(), hdr.size as usize);
+        Ok(Polled::Landed(
+            hdr.status,
+            CallResult {
+                data,
+                info: CallInfo {
+                    attempts: fl.attempts,
+                    extra_read,
+                    completed_in: Mode::RemoteFetch,
+                    latency: thread.now() - fl.t0,
+                    server_time_us: hdr.time_us,
+                    status: hdr.status,
+                    integrity_retries: fl.integrity_retries,
+                },
+            },
+        ))
+    }
+
+    /// Books one finished call. An `executed` call feeds the stats, the
+    /// health window and the instruments (an overload give-up feeds
+    /// none of them). `span` names the slot whose request span the call
+    /// closes; `None` for untraced calls, which also leave the
+    /// `extra_reads` instrument alone.
+    pub(crate) fn book(
+        &self,
+        thread: &ThreadCtx,
+        out: &CallResult,
+        executed: bool,
+        span: Option<usize>,
+    ) {
+        if executed {
+            self.stats.record(&out.info);
+            // Every attempt but a successful final fetch was a retry.
+            let successes = match out.info.completed_in {
+                Mode::RemoteFetch => 1,
+                Mode::ServerReply => 0,
+            };
+            let retries = out.info.attempts.saturating_sub(successes) as u64;
+            if let Some(h) = &self.health {
+                h.record_call(
+                    thread.now(),
+                    out.info.latency,
+                    retries,
+                    out.data.len(),
+                    out.info.server_time_us,
+                );
+            }
+            if let Some(ins) = &self.instruments {
+                ins.calls.incr();
+                ins.latency.record(out.info.latency);
+                ins.retries.add(retries);
+                if span.is_some() && out.info.extra_read {
+                    ins.extra_reads.incr();
+                }
+            }
+        }
+        if let (Some(slot), Some(ins)) = (span, &self.instruments) {
+            if let Some(mut trace) = self.shared.span_mut(slot).take() {
+                let label = if executed { "completed" } else { "gave_up" };
+                trace.mark_unordered(thread.now(), label);
+                ins.telemetry.spans.record(trace);
+            }
+        }
+    }
+
+    /// `client_send`: deposits a request into server memory via
+    /// one-sided WRITE.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req` exceeds the request capacity.
+    pub async fn send(&self, thread: &ThreadCtx, req: &[u8]) {
+        self.send_with_deadline(thread, req, None).await
+    }
+
+    /// [`send`](RfpClient::send) with an absolute deadline stamped into
+    /// the (extended) request header, for servers running admission
+    /// control. Without a deadline the wire bytes are identical to the
+    /// legacy 8-byte header.
+    pub async fn send_with_deadline(
+        &self,
+        thread: &ThreadCtx,
+        req: &[u8],
+        deadline: Option<SimTime>,
+    ) {
+        let mut fl = self.stage(thread, self.take_slot(), req, deadline, true);
+        self.deposit(thread, &mut fl).await.expect(WRITE_FAILED);
+        self.sent.set(Some(fl));
     }
 
     /// `client_recv`: obtains the response for the last
@@ -642,49 +856,18 @@ impl RfpClient {
     ///
     /// The reported latency spans from the matching `send` (end-to-end
     /// call time).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no `send` is awaiting its response.
     pub async fn recv(&self, thread: &ThreadCtx) -> CallResult {
-        let t0 = self.sent_at.get();
-        let seq = self.seq.get();
+        let mut fl = self.sent.take().expect("recv follows a send");
         let out = match self.mode.get() {
-            Mode::RemoteFetch => self.recv_remote_fetch(thread, seq, t0).await,
-            Mode::ServerReply => self.recv_server_reply(thread, seq, t0, 0).await,
+            Mode::RemoteFetch => self.recv_fetching(thread, &mut fl).await,
+            Mode::ServerReply => self.recv_replied(thread, &mut fl).await,
         };
-        self.record_completion(thread, self.shared.slot_of(seq), &out);
+        self.book(thread, &out, true, Some(fl.slot));
         out
-    }
-
-    /// Books one finished call against the stats/instruments and closes
-    /// `slot`'s span — shared verbatim by the sequential and pipelined
-    /// drivers so their per-call telemetry is identical.
-    fn record_completion(&self, thread: &ThreadCtx, slot: usize, out: &CallResult) {
-        self.stats.record(&out.info);
-        // Every attempt but a successful final fetch was a retry.
-        let successes = match out.info.completed_in {
-            Mode::RemoteFetch => 1,
-            Mode::ServerReply => 0,
-        };
-        let retries = out.info.attempts.saturating_sub(successes) as u64;
-        if let Some(h) = &self.health {
-            h.record_call(
-                thread.now(),
-                out.info.latency,
-                retries,
-                out.data.len(),
-                out.info.server_time_us,
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            ins.calls.incr();
-            ins.latency.record(out.info.latency);
-            ins.retries.add(retries);
-            if out.info.extra_read {
-                ins.extra_reads.incr();
-            }
-            if let Some(mut span) = self.shared.span_mut(slot).take() {
-                span.mark_unordered(thread.now(), "completed");
-                ins.telemetry.spans.record(span);
-            }
-        }
     }
 
     /// Adds a milestone to `slot`'s in-flight span, if one exists.
@@ -735,59 +918,19 @@ impl RfpClient {
             Mode::RemoteFetch,
             "call_pipelined drives remote fetching only"
         );
-        let window = self.shared.cfg.window;
         let r = self.retry_threshold.get();
-        let max = self.req_headroom(false);
-        for req in reqs {
-            assert!(req.len() <= max, "request exceeds buffer capacity");
-        }
-        let mut results: Vec<Option<CallResult>> = reqs.iter().map(|_| None).collect();
+        let mut results: Vec<Option<CallResult>> = vec![None; reqs.len()];
         // Free ring slots, lowest on top so W=1 always stages slot 0.
-        let mut free: Vec<usize> = (0..window).rev().collect();
-        let mut flights: Vec<Flight> = Vec::new();
+        let mut free: Vec<usize> = (0..self.shared.cfg.window).rev().collect();
+        // (request index, flight) per outstanding call.
+        let mut flights: Vec<(usize, Flight)> = Vec::new();
         let mut next_req = 0usize;
         while next_req < reqs.len() || !flights.is_empty() {
-            // Refill: stage fresh calls into free slots (bytes + span;
-            // the deposit WRITE happens in the submit step below).
+            // Refill: stage fresh calls into free slots.
             while next_req < reqs.len() {
                 let Some(slot) = free.pop() else { break };
-                let req = &reqs[next_req];
-                let seq = self.alloc_seq_in(slot);
-                if let Some(ins) = &self.instruments {
-                    *self.shared.span_mut(slot) = Some(RequestTrace::begin(
-                        seq as u64,
-                        ins.telemetry.track,
-                        thread.now(),
-                        "issue",
-                    ));
-                }
-                let hdr = ReqHeader {
-                    valid: true,
-                    size: req.len() as u32,
-                    seq,
-                    deadline: None,
-                    tenant: self.tenant.get(),
-                    epoch: self.epoch.get(),
-                };
-                let hdr_len = hdr.wire_len();
-                let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-                hdr.encode(&mut hdr_bytes[..hdr_len]);
-                let base = self.shared.req_off(slot);
-                self.shared
-                    .client_req
-                    .write_local(base, &hdr_bytes[..hdr_len]);
-                self.shared.client_req.write_local(base + hdr_len, req);
-                flights.push(Flight {
-                    idx: next_req,
-                    slot,
-                    seq,
-                    wire_len: hdr_len + req.len(),
-                    t0: thread.now(),
-                    attempts: 0,
-                    integrity_retries: 0,
-                    counted_over: false,
-                    needs_send: true,
-                });
+                let fl = self.stage(thread, slot, &reqs[next_req], None, true);
+                flights.push((next_req, fl));
                 next_req += 1;
             }
             if let Some(h) = &self.health {
@@ -798,37 +941,17 @@ impl RfpClient {
             // posted so their round trips overlap. A WRITE that
             // completes with a verb error stays pending and is retried
             // next round (the NACK round trip advanced time).
-            let to_send: Vec<usize> = flights
-                .iter()
-                .enumerate()
-                .filter_map(|(i, fl)| fl.needs_send.then_some(i))
+            let to_send: Vec<usize> = (0..flights.len())
+                .filter(|&i| !flights[i].1.deposited)
                 .collect();
-            if to_send.len() == 1 {
-                let i = to_send[0];
-                let (slot, wire_len) = (flights[i].slot, flights[i].wire_len);
-                let base = self.shared.req_off(slot);
-                if self
-                    .qp()
-                    .try_write(
-                        thread,
-                        &self.shared.client_req,
-                        base,
-                        &self.shared.req,
-                        base,
-                        wire_len,
-                    )
-                    .await
-                    .is_ok()
-                {
-                    flights[i].needs_send = false;
-                    self.span_mark(thread, slot, "request_written");
-                }
+            if let [i] = to_send[..] {
+                let _ = self.deposit(thread, &mut flights[i].1).await;
             } else if to_send.len() >= 2 {
                 let qp = self.qp();
                 let mut posted = Vec::with_capacity(to_send.len());
                 for &i in &to_send {
-                    let (slot, wire_len) = (flights[i].slot, flights[i].wire_len);
-                    let base = self.shared.req_off(slot);
+                    let fl = &flights[i].1;
+                    let base = self.shared.req_off(fl.slot);
                     posted.push((
                         i,
                         qp.write_post(
@@ -837,7 +960,7 @@ impl RfpClient {
                             base,
                             &self.shared.req,
                             base,
-                            wire_len,
+                            fl.wire_len,
                         )
                         .await,
                     ));
@@ -845,8 +968,7 @@ impl RfpClient {
                 for (i, c) in posted {
                     c.wait(thread).await;
                     if c.error().is_none() {
-                        flights[i].needs_send = false;
-                        self.span_mark(thread, flights[i].slot, "request_written");
+                        self.note_deposited(thread, &mut flights[i].1);
                     }
                 }
             }
@@ -854,16 +976,12 @@ impl RfpClient {
             // fetches synchronously (identical to the sequential READ);
             // k ≥ 2 flights share one doorbell ring.
             let f = self.fetch_size.get();
-            let pollable: Vec<usize> = flights
-                .iter()
-                .enumerate()
-                .filter_map(|(i, fl)| (!fl.needs_send).then_some(i))
+            let pollable: Vec<usize> = (0..flights.len())
+                .filter(|&i| flights[i].1.deposited)
                 .collect();
             let mut landed = vec![false; flights.len()];
-            if pollable.len() == 1 {
-                let i = pollable[0];
-                let slot = flights[i].slot;
-                let base = self.shared.resp_off(slot);
+            if let [i] = pollable[..] {
+                let base = self.shared.resp_off(flights[i].1.slot);
                 if self
                     .qp()
                     .try_read(
@@ -878,11 +996,7 @@ impl RfpClient {
                     .is_ok()
                 {
                     landed[i] = true;
-                    flights[i].attempts += 1;
-                    self.span_mark(thread, slot, "fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(f as u64);
-                    }
+                    self.note_fetched(thread, &mut flights[i].1, f);
                     self.stats
                         .single_reads
                         .set(self.stats.single_reads.get() + 1);
@@ -892,7 +1006,7 @@ impl RfpClient {
                 let entries: Vec<_> = pollable
                     .iter()
                     .map(|&i| {
-                        let base = self.shared.resp_off(flights[i].slot);
+                        let base = self.shared.resp_off(flights[i].1.slot);
                         (
                             Rc::clone(&self.shared.client_resp),
                             base,
@@ -911,113 +1025,55 @@ impl RfpClient {
                     c.wait(thread).await;
                     if c.error().is_none() {
                         landed[i] = true;
-                        flights[i].attempts += 1;
-                        self.span_mark(thread, flights[i].slot, "fetch_read");
-                        if let Some(ins) = &self.instruments {
-                            ins.fetch_bytes.add(f as u64);
-                        }
+                        self.note_fetched(thread, &mut flights[i].1, f);
                     }
                 }
             }
-            // Check: decode every landed fetch; completed flights free
-            // their slot for the next refill, the rest poll again.
+            // Check: completed flights free their slot for the next
+            // refill; the rest poll again (a corrupt image or a failed
+            // remainder READ included).
             let mut kept = Vec::with_capacity(flights.len());
-            for (i, mut fl) in flights.into_iter().enumerate() {
-                if !landed[i] {
-                    kept.push(fl);
-                    continue;
-                }
-                thread.busy(self.shared.cfg.check_cpu).await;
-                let hdr = self.resp_hdr_at(fl.slot);
-                if !self.accept_resp(&hdr, fl.seq) {
-                    // Missed poll: replicate the sequential overrun
-                    // bookkeeping (never switching modes mid-batch).
-                    if fl.attempts > r && !fl.counted_over {
-                        fl.counted_over = true;
-                        if self.shared.cfg.enable_mode_switch {
-                            self.consec_over.set(self.consec_over.get() + 1);
+            for (i, (idx, mut fl)) in flights.into_iter().enumerate() {
+                if landed[i] {
+                    match self.check(thread, &mut fl, f).await {
+                        Ok(Polled::Landed(_, out)) => {
+                            if !fl.counted_over {
+                                self.consec_over.set(0);
+                            }
+                            self.book(thread, &out, true, Some(fl.slot));
+                            free.push(fl.slot);
+                            results[idx] = Some(out);
+                            continue;
                         }
-                        if let Some(rec) = &self.shared.cfg.recorder {
-                            rec.record(
-                                thread.now(),
-                                Some(self.shared.cfg.conn_id),
-                                fl.seq as u64,
-                                Severity::Warn,
-                                "pipeline.slot_stall",
-                                format!(
-                                    "slot {} overran R={r} after {} fetches",
-                                    fl.slot, fl.attempts
-                                ),
-                            );
+                        Ok(Polled::Miss) if fl.attempts > r && !fl.counted_over => {
+                            // Replicate the sequential overrun
+                            // bookkeeping (never switching modes
+                            // mid-batch).
+                            fl.counted_over = true;
+                            if self.shared.cfg.enable_mode_switch {
+                                self.consec_over.set(self.consec_over.get() + 1);
+                            }
+                            if let Some(rec) = &self.shared.cfg.recorder {
+                                rec.record(
+                                    thread.now(),
+                                    Some(self.shared.cfg.conn_id),
+                                    fl.seq as u64,
+                                    Severity::Warn,
+                                    "pipeline.slot_stall",
+                                    format!(
+                                        "slot {} overran R={r} after {} fetches",
+                                        fl.slot, fl.attempts
+                                    ),
+                                );
+                            }
+                            if let Some(h) = &self.health {
+                                h.record_stall(thread.now());
+                            }
                         }
-                        if let Some(h) = &self.health {
-                            h.record_stall(thread.now());
-                        }
+                        _ => {}
                     }
-                    kept.push(fl);
-                    continue;
                 }
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    fl.integrity_retries += 1;
-                    kept.push(fl);
-                    continue;
-                }
-                let base = self.shared.resp_off(fl.slot);
-                let size = hdr.size as usize;
-                let mut extra_read = false;
-                if total > f {
-                    let rest = total - f;
-                    if self
-                        .qp()
-                        .try_read(
-                            thread,
-                            &self.shared.client_resp,
-                            base + f,
-                            &self.shared.resp,
-                            base + f,
-                            rest,
-                        )
-                        .await
-                        .is_err()
-                    {
-                        kept.push(fl);
-                        continue;
-                    }
-                    self.span_mark(thread, fl.slot, "extra_fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(rest as u64);
-                    }
-                    extra_read = true;
-                }
-                if self.verify_fetched(thread, fl.slot, &hdr).is_err() {
-                    fl.integrity_retries += 1;
-                    kept.push(fl);
-                    continue;
-                }
-                if !fl.counted_over {
-                    self.consec_over.set(0);
-                }
-                self.note_accepted(&hdr);
-                let out = CallResult {
-                    data: self
-                        .shared
-                        .client_resp
-                        .read_local(base + hdr.wire_len(), size),
-                    info: CallInfo {
-                        attempts: fl.attempts,
-                        extra_read,
-                        completed_in: Mode::RemoteFetch,
-                        latency: thread.now() - fl.t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries: fl.integrity_retries,
-                    },
-                };
-                self.record_completion(thread, fl.slot, &out);
-                free.push(fl.slot);
-                results[fl.idx] = Some(out);
+                kept.push((idx, fl));
             }
             flights = kept;
         }
@@ -1063,253 +1119,126 @@ impl RfpClient {
     ) -> CallResult {
         let ov = &self.shared.cfg.overload;
         assert!(ov.enabled, "call_overload requires overload control");
-        assert!(
-            req.len() <= self.req_headroom(true),
-            "request exceeds buffer capacity"
-        );
         let t0 = thread.now();
         self.last_flight.set(None);
-        let first_seq = self.peek_next_seq();
         // Jitter stream: deterministic per (config seed, call seq), and
         // constructed without touching the simulation's shared RNG.
         let jitter = RefCell::new(StdRng::seed_from_u64(derive_seed(
             ov.seed,
-            first_seq as u64,
+            self.peek_next_seq() as u64,
         )));
-        let handle = thread.handle().clone();
-        let fetches = Cell::new(0u32);
-        let extra = Cell::new(false);
-        let integrity_retries = Cell::new(0u32);
-        let outcome = retry_with_deadline(
-            &handle,
-            &ov.retry,
-            deadline,
-            || jitter.borrow_mut().gen::<f64>(),
-            |_attempt| {
-                self.attempt_overload(
-                    thread,
-                    req,
-                    deadline,
-                    &fetches,
-                    &extra,
-                    &integrity_retries,
-                    &jitter,
-                )
-            },
-        )
-        .await;
-        let (data, status, server_time_us) = match outcome {
-            Ok((data, time_us)) => (data, RespStatus::Ok, time_us),
-            Err(exhausted) => {
-                self.note_overload(
-                    thread,
-                    "overload.give_ups",
-                    "call gave up after repeated rejections",
-                );
-                (Vec::new(), exhausted.last, 0)
-            }
-        };
-        let info = CallInfo {
-            attempts: fetches.get(),
-            extra_read: extra.get(),
-            completed_in: Mode::RemoteFetch,
-            latency: thread.now() - t0,
-            server_time_us,
-            status,
-            integrity_retries: integrity_retries.get(),
-        };
-        if status == RespStatus::Ok {
-            // Only executed calls feed the throughput/latency stats;
-            // rejections are accounted by the overload counters.
-            self.stats.record(&info);
-            if let Some(h) = &self.health {
-                h.record_call(
-                    thread.now(),
-                    info.latency,
-                    info.attempts.saturating_sub(1) as u64,
-                    data.len(),
-                    info.server_time_us,
-                );
-            }
-            if let Some(ins) = &self.instruments {
-                ins.calls.incr();
-                ins.latency.record(info.latency);
-                ins.retries.add(info.attempts.saturating_sub(1) as u64);
-                if info.extra_read {
-                    ins.extra_reads.incr();
-                }
-            }
-        }
-        if let Some(ins) = &self.instruments {
-            let slot = self.shared.slot_of(self.seq.get());
-            if let Some(mut span) = self.shared.span_mut(slot).take() {
-                span.mark_unordered(
-                    thread.now(),
-                    if status == RespStatus::Ok {
-                        "completed"
-                    } else {
-                        "gave_up"
-                    },
-                );
-                ins.telemetry.spans.record(span);
-            }
-        }
-        CallResult { data, info }
-    }
-
-    /// One overload admission attempt: credit gate, deadline-stamped
-    /// submission, deadline-bounded fetch. `Err` carries the rejection
-    /// verdict (from the server, or locally synthesised when the probes
-    /// for a verdict ran out).
-    #[allow(clippy::too_many_arguments)]
-    async fn attempt_overload(
-        &self,
-        thread: &ThreadCtx,
-        req: &[u8],
-        call_deadline: Option<SimTime>,
-        fetches: &Cell<u32>,
-        extra: &Cell<bool>,
-        integrity_retries: &Cell<u32>,
-        jitter: &RefCell<StdRng>,
-    ) -> Result<(Vec<u8>, u16), RespStatus> {
-        let ov = &self.shared.cfg.overload;
-        // Credit gate: a zero advertisement means the server's queue was
-        // full — pause (jittered, so clients desynchronise) instead of
-        // submitting work that will bounce.
-        if self.credits.get() == 0 {
-            self.note_overload(
-                thread,
-                "overload.credit_waits",
-                "zero credits: pausing before submit",
-            );
-            let unit: f64 = jitter.borrow_mut().gen();
-            let mut pause =
-                SimSpan::from_nanos_f64(ov.credit_wait.as_nanos() as f64 * (0.5 + unit));
-            if let Some(d) = call_deadline {
-                if thread.now() >= d {
-                    return Err(RespStatus::Busy);
-                }
-                pause = pause.min(d.since(thread.now()));
-            }
-            if !pause.is_zero() {
-                thread.idle_wait(thread.handle().sleep(pause)).await;
-            }
-            // The pause expires the gate: submit optimistically — the
-            // worst case is one cheap Busy verdict refreshing the level.
-            self.credits.set(1);
-        }
-        let deadline = call_deadline.unwrap_or_else(|| thread.now() + ov.deadline);
-        self.send_with_deadline(thread, req, Some(deadline)).await;
-        let seq = self.seq.get();
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
         let probe_policy = RetryPolicy::exponential(
             ov.max_probes,
             ov.probe_pause,
             SimSpan::nanos(ov.probe_pause.as_nanos().saturating_mul(8)),
             0.25,
         );
-        let mut probes = 0u32;
-        loop {
-            if thread.now() > deadline {
-                // Past the deadline the verdict is (or shortly will be)
-                // `Shed`: stop burning the in-bound engine on tight
-                // polling and probe at a widening, jittered pace.
-                if probes >= ov.max_probes.max(1) {
+        // The latest submission's flight; each resubmission carries the
+        // call's counters forward.
+        let last: Cell<Option<Flight>> = Cell::new(None);
+        let (jitter, last, probe_policy) = (&jitter, &last, &probe_policy);
+        let handle = thread.handle().clone();
+        let outcome = retry_with_deadline(
+            &handle,
+            &ov.retry,
+            deadline,
+            || jitter.borrow_mut().gen::<f64>(),
+            move |_attempt| async move {
+                // Credit gate: a zero advertisement means the server's
+                // queue was full — pause (jittered, so clients
+                // desynchronise) instead of submitting work that will
+                // bounce.
+                if self.credits.get() == 0 {
                     self.note_overload(
                         thread,
-                        "overload.local_sheds",
-                        "gave up probing for a verdict",
+                        "overload.credit_waits",
+                        "zero credits: pausing before submit",
                     );
-                    return Err(RespStatus::Shed);
+                    let unit: f64 = jitter.borrow_mut().gen();
+                    let mut pause =
+                        SimSpan::from_nanos_f64(ov.credit_wait.as_nanos() as f64 * (0.5 + unit));
+                    if let Some(d) = deadline {
+                        if thread.now() >= d {
+                            return Err(RespStatus::Busy);
+                        }
+                        pause = pause.min(d.since(thread.now()));
+                    }
+                    if !pause.is_zero() {
+                        thread.idle_wait(thread.handle().sleep(pause)).await;
+                    }
+                    // The pause expires the gate: submit optimistically —
+                    // the worst case is one cheap Busy verdict refreshing
+                    // the level.
+                    self.credits.set(1);
                 }
-                probes += 1;
-                let unit: f64 = jitter.borrow_mut().gen();
-                let pause = probe_policy.backoff_for(probes, unit);
-                if !pause.is_zero() {
-                    thread.idle_wait(thread.handle().sleep(pause)).await;
+                let stamp = deadline.unwrap_or_else(|| thread.now() + ov.deadline);
+                let mut fl = self
+                    .stage(thread, self.take_slot(), req, Some(stamp), true)
+                    .carry(last.get());
+                self.deposit(thread, &mut fl).await.expect(WRITE_FAILED);
+                last.set(Some(fl));
+                let mut probes = 0u32;
+                loop {
+                    if thread.now() > stamp {
+                        // Past the deadline the verdict is (or shortly
+                        // will be) `Shed`: stop burning the in-bound
+                        // engine on tight polling and probe at a
+                        // widening, jittered pace.
+                        if probes >= ov.max_probes.max(1) {
+                            self.note_overload(
+                                thread,
+                                "overload.local_sheds",
+                                "gave up probing for a verdict",
+                            );
+                            return Err(RespStatus::Shed);
+                        }
+                        probes += 1;
+                        let unit: f64 = jitter.borrow_mut().gen();
+                        let pause = probe_policy.backoff_for(probes, unit);
+                        if !pause.is_zero() {
+                            thread.idle_wait(thread.handle().sleep(pause)).await;
+                        }
+                    }
+                    // Verdicts are verified too: a corrupt fetch must not
+                    // surface a spurious rejection (or a bogus payload).
+                    let polled = self.poll(thread, &mut fl).await.expect(READ_FAILED);
+                    last.set(Some(fl));
+                    match polled {
+                        Polled::Landed(RespStatus::Ok, out) => return Ok(out),
+                        Polled::Landed(status, _) => {
+                            self.note_rejection(thread, status, None);
+                            return Err(status);
+                        }
+                        Polled::Miss | Polled::Corrupt => {}
+                    }
                 }
-            }
-            let f = self.fetch_size.get();
-            self.qp()
-                .read(
+            },
+        )
+        .await;
+        let (mut out, executed) = match outcome {
+            Ok(out) => (out, true),
+            Err(exhausted) => {
+                self.note_overload(
                     thread,
-                    &self.shared.client_resp,
-                    base,
-                    &self.shared.resp,
-                    base,
-                    f,
-                )
-                .await;
-            fetches.set(fetches.get() + 1);
-            self.span_mark(thread, slot, "fetch_read");
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
+                    "overload.give_ups",
+                    "call gave up after repeated rejections",
+                );
+                (rejected_call(exhausted.last, SimSpan::ZERO), false)
             }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            if !self.accept_resp(&hdr, seq) {
-                continue;
-            }
-            let total = self.resp_total_len(&hdr);
-            if !self.resp_len_plausible(total) {
-                self.note_integrity_failure(thread, IntegrityFault::Torn);
-                integrity_retries.set(integrity_retries.get() + 1);
-                continue;
-            }
-            let size = hdr.size as usize;
-            if total > f {
-                let rest = total - f;
-                self.qp()
-                    .read(
-                        thread,
-                        &self.shared.client_resp,
-                        base + f,
-                        &self.shared.resp,
-                        base + f,
-                        rest,
-                    )
-                    .await;
-                self.span_mark(thread, slot, "extra_fetch_read");
-                if let Some(ins) = &self.instruments {
-                    ins.fetch_bytes.add(rest as u64);
-                }
-                extra.set(true);
-            }
-            if self.verify_fetched(thread, slot, &hdr).is_err() {
-                // Verdicts are verified too: a corrupt fetch must not
-                // surface a spurious rejection (or a bogus payload).
-                integrity_retries.set(integrity_retries.get() + 1);
-                continue;
-            }
-            self.note_accepted(&hdr);
-            match hdr.status {
-                RespStatus::Ok => {
-                    return Ok((
-                        self.shared
-                            .client_resp
-                            .read_local(base + hdr.wire_len(), size),
-                        hdr.time_us,
-                    ));
-                }
-                RespStatus::Busy => {
-                    self.note_overload(thread, "overload.busy_seen", "server answered Busy");
-                    return Err(RespStatus::Busy);
-                }
-                RespStatus::Shed => {
-                    self.note_overload(thread, "overload.sheds_seen", "server shed the request");
-                    return Err(RespStatus::Shed);
-                }
-                RespStatus::Fenced => {
-                    self.note_overload(
-                        thread,
-                        "recovery.fenced_seen",
-                        "server fenced a stale-epoch request",
-                    );
-                    return Err(RespStatus::Fenced);
-                }
-            }
+        };
+        // The call's counters span all of its submissions; its latency
+        // spans credit waits and backoffs too. Only executed calls feed
+        // the throughput/latency stats; rejections are accounted by the
+        // overload counters.
+        if let Some(fl) = last.get() {
+            out.info.attempts = fl.attempts;
+            out.info.extra_read = fl.extra_read;
+            out.info.integrity_retries = fl.integrity_retries;
         }
+        out.info.latency = thread.now() - t0;
+        let slot = self.shared.slot_of(self.seq.get());
+        self.book(thread, &out, executed, Some(slot));
+        out
     }
 
     /// Records one discarded-and-retried fetch against the integrity
@@ -1351,8 +1280,10 @@ impl RfpClient {
 
     /// Verifies one fully fetched response image in the landing zone
     /// (header from the first segment, payload + trailing canary as
-    /// currently fetched). `Err` carries the failure class; the caller
-    /// discards the fetch and retries. No-op `Ok` with the layer off.
+    /// currently fetched), whose footprint already passed
+    /// [`resp_len_plausible`](RfpClient::resp_len_plausible). `Err`
+    /// carries the failure class; the caller discards the fetch and
+    /// retries. No-op `Ok` with the layer off.
     fn verify_fetched(
         &self,
         thread: &ThreadCtx,
@@ -1364,20 +1295,14 @@ impl RfpClient {
         }
         let wire_hdr = hdr.wire_len();
         let size = hdr.size as usize;
-        let outcome = if wire_hdr + size + RESP_TRAILER > self.shared.cfg.resp_capacity {
-            // A flipped size bit can claim more payload than the buffer
-            // holds; classify it as torn instead of reading past the MR.
-            Err(IntegrityFault::Torn)
-        } else {
-            let base = self.shared.resp_off(slot);
-            self.shared.client_resp.with_bytes(|bytes| {
-                verify_response(
-                    hdr,
-                    &bytes[base + wire_hdr..base + wire_hdr + size],
-                    &bytes[base + wire_hdr + size..base + wire_hdr + size + RESP_TRAILER],
-                )
-            })
-        };
+        let base = self.shared.resp_off(slot);
+        let outcome = self.shared.client_resp.with_bytes(|bytes| {
+            verify_response(
+                hdr,
+                &bytes[base + wire_hdr..base + wire_hdr + size],
+                &bytes[base + wire_hdr + size..base + wire_hdr + size + RESP_TRAILER],
+            )
+        });
         if let Err(fault) = outcome {
             self.note_integrity_failure(thread, fault);
         }
@@ -1429,163 +1354,88 @@ impl RfpClient {
         }
     }
 
-    async fn recv_remote_fetch(
+    /// Notes a server rejection verdict (`Busy`/`Shed`/`Fenced`) against
+    /// its counter; `what` overrides the verdict's own description.
+    pub(crate) fn note_rejection(
         &self,
         thread: &ThreadCtx,
-        seq: u32,
-        t0: rfp_simnet::SimTime,
-    ) -> CallResult {
+        status: RespStatus,
+        what: Option<&str>,
+    ) {
+        let (counter, verdict) = match status {
+            RespStatus::Busy => ("overload.busy_seen", "server answered Busy"),
+            RespStatus::Fenced => (
+                "recovery.fenced_seen",
+                "server fenced a stale-epoch request",
+            ),
+            _ => ("overload.sheds_seen", "server shed the request"),
+        };
+        self.note_overload(thread, counter, what.unwrap_or(verdict));
+    }
+
+    /// `recv` in remote-fetch mode: polls until the response lands,
+    /// switching the connection to server-reply once calls overrun `R`
+    /// failed retries consecutively (paper §3.2).
+    async fn recv_fetching(&self, thread: &ThreadCtx, fl: &mut Flight) -> CallResult {
         let r = self.retry_threshold.get();
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
-        let mut attempts = 0u32;
-        let mut integrity_retries = 0u32;
-        let mut counted_over = false;
         loop {
-            attempts += 1;
-            let f = self.fetch_size.get();
-            self.qp()
-                .read(
-                    thread,
-                    &self.shared.client_resp,
-                    base,
-                    &self.shared.resp,
-                    base,
-                    f,
-                )
-                .await;
-            self.span_mark(thread, slot, "fetch_read");
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
-            }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            if self.accept_resp(&hdr, seq) {
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    integrity_retries += 1;
-                    continue;
-                }
-                let size = hdr.size as usize;
-                let mut extra_read = false;
-                if total > f {
-                    // Second fetch for the remainder (paper §3.2: only if
-                    // the real result exceeds the default fetch size).
-                    let rest = total - f;
-                    self.qp()
-                        .read(
-                            thread,
-                            &self.shared.client_resp,
-                            base + f,
-                            &self.shared.resp,
-                            base + f,
-                            rest,
-                        )
-                        .await;
-                    self.span_mark(thread, slot, "extra_fetch_read");
-                    if let Some(ins) = &self.instruments {
-                        ins.fetch_bytes.add(rest as u64);
+            match self.poll(thread, fl).await.expect(READ_FAILED) {
+                Polled::Landed(_, out) => {
+                    if !fl.counted_over {
+                        self.consec_over.set(0);
                     }
-                    extra_read = true;
+                    return out;
                 }
-                if self.verify_fetched(thread, slot, &hdr).is_err() {
-                    // Discard the fetched image and refetch: the next READ
-                    // samples the buffer afresh.
-                    integrity_retries += 1;
-                    continue;
-                }
-                if !counted_over {
-                    self.consec_over.set(0);
-                }
-                self.note_accepted(&hdr);
-                return CallResult {
-                    data: self
-                        .shared
-                        .client_resp
-                        .read_local(base + hdr.wire_len(), size),
-                    info: CallInfo {
-                        attempts,
-                        extra_read,
-                        completed_in: Mode::RemoteFetch,
-                        latency: thread.now() - t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries,
-                    },
-                };
+                Polled::Corrupt => continue,
+                Polled::Miss => {}
             }
             // Failed attempt. Past R failed retries this call counts
             // toward the consecutive-overrun guard exactly once.
-            if attempts > r && !counted_over {
-                counted_over = true;
+            if fl.attempts > r && !fl.counted_over {
+                fl.counted_over = true;
                 if self.shared.cfg.enable_mode_switch {
                     let over = self.consec_over.get() + 1;
                     self.consec_over.set(over);
                     if over >= self.shared.cfg.consecutive_before_switch {
                         self.switch_mode(thread, Mode::ServerReply).await;
-                        return self.recv_server_reply(thread, seq, t0, attempts).await;
+                        // The reply phase counts its own discards.
+                        fl.integrity_retries = 0;
+                        return self.recv_replied(thread, fl).await;
                     }
                 }
             }
         }
     }
 
-    async fn recv_server_reply(
-        &self,
-        thread: &ThreadCtx,
-        seq: u32,
-        t0: rfp_simnet::SimTime,
-        prior_attempts: u32,
-    ) -> CallResult {
-        let slot = self.shared.slot_of(seq);
-        let base = self.shared.resp_off(slot);
-        let mut attempts = prior_attempts;
-        let mut integrity_retries = 0u32;
+    /// `recv` in server-reply mode: waits (idle) for the pushed reply,
+    /// with a fallback fetch covering the post-before-flag race, and
+    /// switches back to remote fetching once the server-reported
+    /// process time is short again (paper §3.2).
+    async fn recv_replied(&self, thread: &ThreadCtx, fl: &mut Flight) -> CallResult {
+        let base = self.shared.resp_off(fl.slot);
         loop {
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            // In reply mode the server pushes (and the fallback fetch
-            // reads) the whole image, so verification needs no second
-            // READ; a corrupt image falls through to the wait/fallback
-            // below, which refreshes the landing zone.
-            if self.accept_resp(&hdr, seq) && self.verify_fetched(thread, slot, &hdr).is_ok() {
-                self.span_mark(thread, slot, "reply_received");
-                let size = hdr.size as usize;
-                let data = self
-                    .shared
-                    .client_resp
-                    .read_local(base + hdr.wire_len(), size);
-                // §3.2: record the server's response time; if it got
-                // short again, remote fetching is profitable — switch
-                // back.
+            // The server pushes (and the fallback fetch reads) the whole
+            // image, so the check needs no remainder READ; a corrupt
+            // image falls through to the wait/fallback below, which
+            // refreshes the landing zone.
+            let full = self.shared.cfg.resp_capacity;
+            if let Polled::Landed(_, mut out) =
+                self.check(thread, fl, full).await.expect(READ_FAILED)
+            {
+                self.span_mark(thread, fl.slot, "reply_received");
                 if self.shared.cfg.enable_mode_switch
-                    && SimSpan::micros(hdr.time_us as u64) < self.shared.cfg.switch_back_below
+                    && SimSpan::micros(out.info.server_time_us as u64)
+                        < self.shared.cfg.switch_back_below
                     && self.mode.get() == Mode::ServerReply
                 {
                     self.switch_mode(thread, Mode::RemoteFetch).await;
                 }
-                self.note_accepted(&hdr);
-                return CallResult {
-                    data,
-                    info: CallInfo {
-                        attempts,
-                        extra_read: false,
-                        completed_in: Mode::ServerReply,
-                        latency: thread.now() - t0,
-                        server_time_us: hdr.time_us,
-                        status: hdr.status,
-                        integrity_retries,
-                    },
-                };
-            }
-            if self.accept_resp(&hdr, seq) {
-                // Matching but corrupt (verify_fetched noted it above).
-                integrity_retries += 1;
+                out.info.completed_in = Mode::ServerReply;
+                out.info.latency = thread.now() - fl.t0;
+                return out;
             }
             // Block (idle — no busy polling in reply mode, which is the
-            // whole CPU saving of Figure 15) until a reply lands, with a
-            // fallback fetch covering the post-before-flag race.
+            // whole CPU saving of Figure 15) until a reply lands.
             let landed = thread
                 .idle_wait(timeout(
                     thread.handle(),
@@ -1602,10 +1452,10 @@ impl RfpClient {
                     trace.record(
                         thread.now(),
                         "rfp.fallback",
-                        format!("seq {seq}: fallback fetch after reply-wait timeout"),
+                        format!("seq {}: fallback fetch after reply-wait timeout", fl.seq),
                     );
                 }
-                attempts += 1;
+                fl.attempts += 1;
                 let f = self.fetch_size.get().max(self.shared.cfg.resp_capacity);
                 self.qp()
                     .read(
@@ -1617,7 +1467,7 @@ impl RfpClient {
                         f,
                     )
                     .await;
-                self.span_mark(thread, slot, "fallback_fetch_read");
+                self.span_mark(thread, fl.slot, "fallback_fetch_read");
                 if let Some(ins) = &self.instruments {
                     ins.fallback_fetches.incr();
                     ins.fetch_bytes.add(f as u64);
@@ -1632,6 +1482,15 @@ impl RfpClient {
     /// resubmits under the **same** sequence number so a restarted
     /// server dedups the replay. See [`RecoveryConfig`].
     ///
+    /// The exception is an attempt following a `Busy`/`Shed`/`Fenced`
+    /// rejection: the rejected request was provably never executed, so
+    /// it is staged fresh under a **new** sequence (reusing the rejected
+    /// one would match the stale verdict response forever). An attempt
+    /// that exhausts its verify-and-refetch budget
+    /// ([`FailureCause::Corrupt`]) makes the next one re-establish the
+    /// QP even though it reports no error state: persistent corruption
+    /// on a "healthy" QP is invisible to the transport.
+    ///
     /// Always runs in remote-fetch terms (the recovery path does not
     /// interact with the hybrid mode switch). On a healthy cluster the
     /// first attempt succeeds and this behaves exactly like
@@ -1644,68 +1503,108 @@ impl RfpClient {
         rec: &RecoveryConfig,
     ) -> Result<CallResult, RpcError> {
         let ov = &self.shared.cfg.overload;
-        let max = self.req_headroom(ov.enabled);
-        assert!(req.len() <= max, "request exceeds buffer capacity");
         let t0 = thread.now();
-        self.sent_at.set(t0);
         self.last_flight.set(None);
         // Wire stamp (overload only) and the client-side clamp bounding
         // retry backoffs and per-attempt fetch deadlines: the tighter of
         // the overload deadline and the recovery call deadline.
-        let stamp = if ov.enabled {
-            Some(t0 + ov.deadline)
-        } else {
-            None
-        };
+        let stamp = ov.enabled.then(|| t0 + ov.deadline);
         let clamp = match (rec.call_deadline, stamp) {
             (Some(d), Some(s)) => Some(s.min(t0 + d)),
             (Some(d), None) => Some(t0 + d),
             (None, s) => s,
         };
-        let first_seq = self.peek_next_seq();
-        let state = AttemptState {
-            req,
-            stamp,
-            refresh: Cell::new(true),
-            fetches: Cell::new(0),
-            integrity_retries: Cell::new(0),
-            force_reconnect: Cell::new(false),
-        };
-
         // Jitter stream: deterministic per (config seed, call seq), and
         // constructed without touching the simulation's shared RNG.
-        let mut jitter_rng = StdRng::seed_from_u64(derive_seed(rec.seed, first_seq as u64));
+        let mut jitter_rng =
+            StdRng::seed_from_u64(derive_seed(rec.seed, self.peek_next_seq() as u64));
+        // The call's current flight, re-staged when `refresh` is set
+        // (initially, and after a rejection).
+        let flight: Cell<Option<Flight>> = Cell::new(None);
+        let refresh = Cell::new(true);
+        let force_reconnect = Cell::new(false);
+        let (flight, refresh, force_reconnect) = (&flight, &refresh, &force_reconnect);
         let handle = thread.handle().clone();
         let outcome = retry_with_deadline(
             &handle,
             &rec.retry,
             clamp,
             || jitter_rng.gen::<f64>(),
-            |attempt| self.attempt_call(thread, attempt, rec, clamp, &state),
+            move |attempt| async move {
+                if attempt > 0 {
+                    let what = if refresh.get() {
+                        "resubmitting rejected request under a fresh seq"
+                    } else {
+                        "resubmitting request under the same seq"
+                    };
+                    self.note_recovery(thread, "recovery.resubmits", what);
+                    if force_reconnect.take() || self.qp().error_state().is_some() {
+                        self.reestablish_qp(thread, rec).await;
+                    }
+                }
+                let mut fl = match (refresh.take(), flight.get()) {
+                    (false, Some(fl)) => fl,
+                    (_, prev) => self
+                        .stage(thread, self.take_slot(), req, stamp, false)
+                        .carry(prev),
+                };
+                flight.set(Some(fl));
+                self.deposit(thread, &mut fl)
+                    .await
+                    .map_err(|e| self.verb_failure(thread, e))?;
+                let mut deadline = thread.now() + rec.fetch_deadline;
+                if let Some(c) = clamp {
+                    deadline = deadline.min(c);
+                }
+                // Consecutive corrupt fetches within *this* attempt; at
+                // the configured budget the attempt fails with `Corrupt`.
+                let mut corrupt_streak = 0u32;
+                loop {
+                    let polled = self.poll(thread, &mut fl).await;
+                    flight.set(Some(fl));
+                    match polled.map_err(|e| self.verb_failure(thread, e))? {
+                        Polled::Landed(RespStatus::Ok, out) => return Ok(out),
+                        Polled::Landed(status, _) => {
+                            self.note_rejection(
+                                thread,
+                                status,
+                                Some("server rejected the request"),
+                            );
+                            refresh.set(true);
+                            return Err(FailureCause::Rejected(status));
+                        }
+                        Polled::Corrupt => {
+                            corrupt_streak += 1;
+                            if corrupt_streak >= self.shared.cfg.integrity.verify_retries {
+                                self.note_recovery(
+                                    thread,
+                                    "recovery.corrupt_attempts",
+                                    "verify-and-refetch budget exhausted",
+                                );
+                                force_reconnect.set(true);
+                                return Err(FailureCause::Corrupt);
+                            }
+                        }
+                        Polled::Miss => {}
+                    }
+                    if thread.now() >= deadline {
+                        self.note_recovery(
+                            thread,
+                            "recovery.deadlines",
+                            "attempt deadline expired",
+                        );
+                        return Err(FailureCause::Deadline);
+                    }
+                }
+            },
         )
         .await;
-        let fetches = &state.fetches;
         match outcome {
             Ok(mut out) => {
                 // Latency spans the whole recovered call, backoffs
                 // included.
                 out.info.latency = thread.now() - t0;
-                out.info.attempts = fetches.get();
-                self.stats.record(&out.info);
-                if let Some(h) = &self.health {
-                    h.record_call(
-                        thread.now(),
-                        out.info.latency,
-                        out.info.attempts.saturating_sub(1) as u64,
-                        out.data.len(),
-                        out.info.server_time_us,
-                    );
-                }
-                if let Some(ins) = &self.instruments {
-                    ins.calls.incr();
-                    ins.latency.record(out.info.latency);
-                    ins.retries.add(out.info.attempts.saturating_sub(1) as u64);
-                }
+                self.book(thread, &out, true, None);
                 Ok(out)
             }
             Err(exhausted) => {
@@ -1718,371 +1617,32 @@ impl RfpClient {
         }
     }
 
-    /// Deposits one hedge leg: stages `req` under a fresh sequence
-    /// number and WRITEs it to the server, without entering the fetch
-    /// loop. The replica router races legs on different replicas and
-    /// polls each with [`hedge_poll`](RfpClient::hedge_poll). Uses the
-    /// same staging, header layout, and overload stamp as
-    /// [`call_with_recovery`](RfpClient::call_with_recovery)'s first
-    /// attempt, so the server cannot tell a hedge leg from an ordinary
-    /// call.
+    /// Stages and deposits one hedge leg under a fresh sequence number,
+    /// without entering a fetch loop: the replica router races legs on
+    /// different replicas, polls each with [`poll`](RfpClient::poll) and
+    /// books the winner with [`book`](RfpClient::book). The leg carries
+    /// the same header layout and overload stamp as a
+    /// [`call_with_recovery`](RfpClient::call_with_recovery) first
+    /// attempt, so the server cannot tell it from an ordinary call.
     pub(crate) async fn hedge_deposit(
         &self,
         thread: &ThreadCtx,
         req: &[u8],
-    ) -> Result<HedgeTicket, FailureCause> {
+    ) -> Result<Flight, FailureCause> {
         let ov = &self.shared.cfg.overload;
-        let max = self.req_headroom(ov.enabled);
-        assert!(req.len() <= max, "request exceeds buffer capacity");
-        self.sent_at.set(thread.now());
         self.last_flight.set(None);
-        let stamp = if ov.enabled {
-            Some(thread.now() + ov.deadline)
-        } else {
-            None
-        };
-        let (slot, seq) = self.alloc_next_seq();
-        let hdr = ReqHeader {
-            valid: true,
-            size: req.len() as u32,
-            seq,
-            deadline: stamp,
-            tenant: self.tenant.get(),
-            epoch: self.epoch.get(),
-        };
-        let hdr_len = hdr.wire_len();
-        let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-        hdr.encode(&mut hdr_bytes[..hdr_len]);
-        let base = self.shared.req_off(slot);
-        self.shared
-            .client_req
-            .write_local(base, &hdr_bytes[..hdr_len]);
-        self.shared.client_req.write_local(base + hdr_len, req);
-        self.qp()
-            .try_write(
-                thread,
-                &self.shared.client_req,
-                base,
-                &self.shared.req,
-                base,
-                hdr_len + req.len(),
-            )
+        let stamp = ov.enabled.then(|| thread.now() + ov.deadline);
+        let mut fl = self.stage(thread, self.take_slot(), req, stamp, false);
+        self.deposit(thread, &mut fl)
             .await
             .map_err(|e| self.verb_failure(thread, e))?;
-        Ok(HedgeTicket {
-            slot,
-            seq,
-            fetches: 0,
-            deposited_at: self.sent_at.get(),
-        })
-    }
-
-    /// One fetch round of a hedge leg: a single READ of the landing
-    /// zone, returning `Ok(Some(_))` when the response landed and
-    /// verified, `Ok(None)` when the slot still holds nothing for this
-    /// leg (poll again later), and `Err(_)` when the leg is dead — a
-    /// verb error, a server rejection, or unrecoverable corruption.
-    /// Mirrors one iteration of `attempt_call`'s fetch loop, minus the
-    /// retry machinery: the router, not this leg, decides what happens
-    /// next.
-    pub(crate) async fn hedge_poll(
-        &self,
-        thread: &ThreadCtx,
-        ticket: &mut HedgeTicket,
-    ) -> Result<Option<CallResult>, FailureCause> {
-        let slot = ticket.slot;
-        let resp_base = self.shared.resp_off(slot);
-        let f = self.fetch_size.get();
-        let qp = self.qp();
-        qp.try_read(
-            thread,
-            &self.shared.client_resp,
-            resp_base,
-            &self.shared.resp,
-            resp_base,
-            f,
-        )
-        .await
-        .map_err(|e| self.verb_failure(thread, e))?;
-        ticket.fetches += 1;
-        if let Some(ins) = &self.instruments {
-            ins.fetch_bytes.add(f as u64);
-        }
-        thread.busy(self.shared.cfg.check_cpu).await;
-        let hdr = self.resp_hdr_at(slot);
-        if !self.accept_resp(&hdr, ticket.seq) {
-            return Ok(None);
-        }
-        let total = self.resp_total_len(&hdr);
-        if !self.resp_len_plausible(total) {
-            self.note_integrity_failure(thread, IntegrityFault::Torn);
-            return Ok(None);
-        }
-        let size = hdr.size as usize;
-        let mut extra_read = false;
-        if total > f {
-            let rest = total - f;
-            qp.try_read(
-                thread,
-                &self.shared.client_resp,
-                resp_base + f,
-                &self.shared.resp,
-                resp_base + f,
-                rest,
-            )
-            .await
-            .map_err(|e| self.verb_failure(thread, e))?;
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(rest as u64);
-            }
-            extra_read = true;
-        }
-        if self.verify_fetched(thread, slot, &hdr).is_err() {
-            return Ok(None);
-        }
-        self.note_accepted(&hdr);
-        if hdr.status != RespStatus::Ok {
-            let counter = match hdr.status {
-                RespStatus::Busy => "overload.busy_seen",
-                RespStatus::Fenced => "recovery.fenced_seen",
-                _ => "overload.sheds_seen",
-            };
-            self.note_overload(thread, counter, "server rejected the hedge leg");
-            return Err(FailureCause::Rejected(hdr.status));
-        }
-        Ok(Some(CallResult {
-            data: self
-                .shared
-                .client_resp
-                .read_local(resp_base + hdr.wire_len(), size),
-            info: CallInfo {
-                attempts: ticket.fetches,
-                extra_read,
-                completed_in: Mode::RemoteFetch,
-                latency: SimSpan::ZERO, // patched by the router
-                server_time_us: hdr.time_us,
-                status: hdr.status,
-                integrity_retries: 0,
-            },
-        }))
-    }
-
-    /// Books a call the replica router completed through the hedge
-    /// primitives against this connection's stats, health window, and
-    /// instruments — the same accounting
-    /// [`call_with_recovery`](RfpClient::call_with_recovery) performs
-    /// on its success path. `out.info.latency` and `out.info.attempts`
-    /// must already carry the values to attribute to *this* connection
-    /// (a hedged race books each leg with its own latency and fetch
-    /// count, not the end-to-end race figures).
-    pub(crate) fn book_routed_call(&self, thread: &ThreadCtx, out: &CallResult) {
-        self.stats.record(&out.info);
-        if let Some(h) = &self.health {
-            h.record_call(
-                thread.now(),
-                out.info.latency,
-                out.info.attempts.saturating_sub(1) as u64,
-                out.data.len(),
-                out.info.server_time_us,
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            ins.calls.incr();
-            ins.latency.record(out.info.latency);
-            ins.retries.add(out.info.attempts.saturating_sub(1) as u64);
-        }
+        Ok(fl)
     }
 
     /// This connection's rolling health window, when the config wired
     /// one in. The replica router's scorer reads it.
     pub(crate) fn conn_health(&self) -> Option<&Rc<ConnHealth>> {
         self.health.as_ref()
-    }
-
-    /// One recovery attempt: (re)submit the request, then fetch until
-    /// the per-attempt deadline.
-    ///
-    /// Submissions reuse the staged bytes — and the staged sequence —
-    /// so a restarted server dedups the replay. The exception is an
-    /// attempt following a `Busy`/`Shed` rejection: the rejected
-    /// request was provably never executed, so the resubmission is
-    /// staged fresh under a **new** sequence (reusing the rejected one
-    /// would match the stale verdict response forever).
-    async fn attempt_call(
-        &self,
-        thread: &ThreadCtx,
-        attempt: u32,
-        rec: &RecoveryConfig,
-        clamp: Option<rfp_simnet::SimTime>,
-        state: &AttemptState<'_>,
-    ) -> Result<CallResult, FailureCause> {
-        if attempt > 0 {
-            let what = if state.refresh.get() {
-                "resubmitting rejected request under a fresh seq"
-            } else {
-                "resubmitting request under the same seq"
-            };
-            self.note_recovery(thread, "recovery.resubmits", what);
-            // A corrupt-exhausted attempt escalates to reconnection even
-            // though the QP reports no error: persistent corruption on a
-            // "healthy" QP is invisible to the transport.
-            if state.force_reconnect.take() || self.qp().error_state().is_some() {
-                self.reestablish_qp(thread, rec).await;
-            }
-        }
-        if state.refresh.take() {
-            let (slot, seq) = self.alloc_next_seq();
-            let hdr = ReqHeader {
-                valid: true,
-                size: state.req.len() as u32,
-                seq,
-                deadline: state.stamp,
-                tenant: self.tenant.get(),
-                epoch: self.epoch.get(),
-            };
-            let hdr_len = hdr.wire_len();
-            let mut hdr_bytes = [0u8; REQ_HDR_TENANT];
-            hdr.encode(&mut hdr_bytes[..hdr_len]);
-            let base = self.shared.req_off(slot);
-            self.shared
-                .client_req
-                .write_local(base, &hdr_bytes[..hdr_len]);
-            self.shared
-                .client_req
-                .write_local(base + hdr_len, state.req);
-        }
-        let seq = self.seq.get();
-        let slot = self.shared.slot_of(seq);
-        let req_base = self.shared.req_off(slot);
-        let resp_base = self.shared.resp_off(slot);
-        // Must mirror `ReqHeader::wire_len` for the header deposited in
-        // this slot — a nonzero epoch forces the 24-byte layout even
-        // without a tenant (an epoch adopted mid-call always re-deposits:
-        // `Fenced` sets the refresh flag).
-        let hdr_len = if self.tenant.get().is_some() || self.epoch.get() != 0 {
-            REQ_HDR_TENANT
-        } else if state.stamp.is_some() {
-            REQ_HDR_EXT
-        } else {
-            REQ_HDR
-        };
-        let wire_len = hdr_len + state.req.len();
-        let fetches = &state.fetches;
-        let qp = self.qp();
-        qp.try_write(
-            thread,
-            &self.shared.client_req,
-            req_base,
-            &self.shared.req,
-            req_base,
-            wire_len,
-        )
-        .await
-        .map_err(|e| self.verb_failure(thread, e))?;
-
-        let mut deadline = thread.now() + rec.fetch_deadline;
-        if let Some(c) = clamp {
-            deadline = deadline.min(c);
-        }
-        // Consecutive corrupt fetches within *this* attempt; at the
-        // configured budget the attempt fails with `Corrupt` and the
-        // next one escalates to reconnection.
-        let mut corrupt_streak = 0u32;
-        loop {
-            let f = self.fetch_size.get();
-            qp.try_read(
-                thread,
-                &self.shared.client_resp,
-                resp_base,
-                &self.shared.resp,
-                resp_base,
-                f,
-            )
-            .await
-            .map_err(|e| self.verb_failure(thread, e))?;
-            fetches.set(fetches.get() + 1);
-            if let Some(ins) = &self.instruments {
-                ins.fetch_bytes.add(f as u64);
-            }
-            thread.busy(self.shared.cfg.check_cpu).await;
-            let hdr = self.resp_hdr_at(slot);
-            let mut corrupt = false;
-            if self.accept_resp(&hdr, seq) {
-                let total = self.resp_total_len(&hdr);
-                if !self.resp_len_plausible(total) {
-                    self.note_integrity_failure(thread, IntegrityFault::Torn);
-                    corrupt = true;
-                } else {
-                    let size = hdr.size as usize;
-                    let mut extra_read = false;
-                    if total > f {
-                        let rest = total - f;
-                        qp.try_read(
-                            thread,
-                            &self.shared.client_resp,
-                            resp_base + f,
-                            &self.shared.resp,
-                            resp_base + f,
-                            rest,
-                        )
-                        .await
-                        .map_err(|e| self.verb_failure(thread, e))?;
-                        if let Some(ins) = &self.instruments {
-                            ins.fetch_bytes.add(rest as u64);
-                        }
-                        extra_read = true;
-                    }
-                    if self.verify_fetched(thread, slot, &hdr).is_ok() {
-                        self.note_accepted(&hdr);
-                        if hdr.status != RespStatus::Ok {
-                            let counter = match hdr.status {
-                                RespStatus::Busy => "overload.busy_seen",
-                                RespStatus::Fenced => "recovery.fenced_seen",
-                                _ => "overload.sheds_seen",
-                            };
-                            self.note_overload(thread, counter, "server rejected the request");
-                            state.refresh.set(true);
-                            return Err(FailureCause::Rejected(hdr.status));
-                        }
-                        return Ok(CallResult {
-                            data: self
-                                .shared
-                                .client_resp
-                                .read_local(resp_base + hdr.wire_len(), size),
-                            info: CallInfo {
-                                attempts: fetches.get(),
-                                extra_read,
-                                completed_in: Mode::RemoteFetch,
-                                latency: SimSpan::ZERO, // patched by the caller
-                                server_time_us: hdr.time_us,
-                                status: hdr.status,
-                                integrity_retries: state.integrity_retries.get(),
-                            },
-                        });
-                    }
-                    corrupt = true;
-                }
-            }
-            if corrupt {
-                state
-                    .integrity_retries
-                    .set(state.integrity_retries.get() + 1);
-                corrupt_streak += 1;
-                if corrupt_streak >= self.shared.cfg.integrity.verify_retries {
-                    self.note_recovery(
-                        thread,
-                        "recovery.corrupt_attempts",
-                        "verify-and-refetch budget exhausted",
-                    );
-                    state.force_reconnect.set(true);
-                    return Err(FailureCause::Corrupt);
-                }
-            }
-            if thread.now() >= deadline {
-                self.note_recovery(thread, "recovery.deadlines", "attempt deadline expired");
-                return Err(FailureCause::Deadline);
-            }
-        }
     }
 
     /// Re-establishes the QP via the installed factory (charging the
@@ -2103,7 +1663,7 @@ impl RfpClient {
     }
 
     /// Records a verb error completion against the recovery instruments.
-    fn verb_failure(&self, thread: &ThreadCtx, e: rfp_rnic::VerbError) -> FailureCause {
+    pub(crate) fn verb_failure(&self, thread: &ThreadCtx, e: VerbError) -> FailureCause {
         self.note_recovery(thread, "recovery.verb_errors", "verb completed with error");
         if let Some(h) = &self.health {
             h.record_verb_error(thread.now());

@@ -69,10 +69,13 @@ use rand::{Rng, SeedableRng};
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::SimSpan;
 
-use crate::client::{CallResult, HedgeTicket, RfpClient};
+use crate::client::{CallResult, Flight, Polled, RfpClient};
 use crate::gray::{GrayConfig, ReplicaScorer, RetryBudget};
 use crate::header::RespStatus;
 use crate::recovery::{FailureCause, RecoveryConfig, RpcError};
+
+/// Flight-recorder detail of a hedge leg the server rejected.
+const LEG_REJECTED: &str = "server rejected the hedge leg";
 
 /// Share of traffic a demoted replica keeps per unit of score — the
 /// probabilistic de-preference trickle. Small enough that a demoted
@@ -536,15 +539,16 @@ impl ReplicaClient {
         let hedge_at = t0 + self.hedge_delay(thread, first);
         let b_client = &self.replicas[second];
         let mut last = FailureCause::Deadline;
-        let mut fetches = 0u32;
-        let mut leg_a: Option<HedgeTicket> = match a.hedge_deposit(thread, req).await {
+        // The finished legs' counters: the race reports as one call.
+        let mut done: Option<Flight> = None;
+        let mut leg_a: Option<Flight> = match a.hedge_deposit(thread, req).await {
             Ok(t) => Some(t),
             Err(c) => {
                 last = c;
                 None
             }
         };
-        let mut leg_b: Option<HedgeTicket> = None;
+        let mut leg_b: Option<Flight> = None;
         let mut b_dead = false;
         let mut hedge_denied = false;
         loop {
@@ -587,20 +591,19 @@ impl ReplicaClient {
                 }
             }
             if let Some(mut t) = leg_a.take() {
-                match a.hedge_poll(thread, &mut t).await {
-                    Ok(Some(mut out)) => {
-                        fetches += t.fetches;
+                match a.poll(thread, &mut t).await {
+                    Ok(Polled::Landed(RespStatus::Ok, mut out)) => {
                         // Book this leg's health with *its own* latency
-                        // and fetch count; charging it for time the
-                        // race spent blocked on the other (possibly
-                        // gray) leg would poison a healthy replica's
-                        // score. The caller still sees the end-to-end
-                        // race latency.
-                        out.info.latency = thread.now() - t.deposited_at;
-                        out.info.attempts = t.fetches;
-                        a.book_routed_call(thread, &out);
+                        // and fetch count (as the poll reports them);
+                        // charging it for time the race spent blocked
+                        // on the other (possibly gray) leg would poison
+                        // a healthy replica's score. The caller still
+                        // sees the end-to-end race figures.
+                        a.book(thread, &out, true, None);
+                        let race = t.carry(done);
                         out.info.latency = thread.now() - t0;
-                        out.info.attempts = fetches;
+                        out.info.attempts = race.attempts;
+                        out.info.integrity_retries = race.integrity_retries;
                         if leg_b.is_some() {
                             self.hedges_wasted.set(self.hedges_wasted.get() + 1);
                             a.note_recovery(
@@ -613,25 +616,29 @@ impl ReplicaClient {
                         self.fail_streak.set(0);
                         return Ok(out);
                     }
-                    Ok(None) => leg_a = Some(t),
-                    Err(c) => {
-                        last = c;
-                        fetches += t.fetches;
+                    Ok(Polled::Landed(status, _)) => {
+                        a.note_rejection(thread, status, Some(LEG_REJECTED));
+                        last = FailureCause::Rejected(status);
+                        done = Some(t.carry(done));
+                    }
+                    Ok(_) => leg_a = Some(t),
+                    Err(e) => {
+                        last = a.verb_failure(thread, e);
+                        done = Some(t.carry(done));
                     }
                 }
             }
             if let Some(mut t) = leg_b.take() {
-                match b_client.hedge_poll(thread, &mut t).await {
-                    Ok(Some(mut out)) => {
-                        fetches += t.fetches;
+                match b_client.poll(thread, &mut t).await {
+                    Ok(Polled::Landed(RespStatus::Ok, mut out)) => {
                         // Leg-local booking, as on the primary leg: the
                         // hedge leg's health must not absorb the gray
                         // leg's stall.
-                        out.info.latency = thread.now() - t.deposited_at;
-                        out.info.attempts = t.fetches;
-                        b_client.book_routed_call(thread, &out);
+                        b_client.book(thread, &out, true, None);
+                        let race = t.carry(done);
                         out.info.latency = thread.now() - t0;
-                        out.info.attempts = fetches;
+                        out.info.attempts = race.attempts;
+                        out.info.integrity_retries = race.integrity_retries;
                         self.hedges_won.set(self.hedges_won.get() + 1);
                         b_client.note_recovery(
                             thread,
@@ -642,10 +649,16 @@ impl ReplicaClient {
                         self.fail_streak.set(0);
                         return Ok(out);
                     }
-                    Ok(None) => leg_b = Some(t),
-                    Err(c) => {
-                        last = c;
-                        fetches += t.fetches;
+                    Ok(Polled::Landed(status, _)) => {
+                        b_client.note_rejection(thread, status, Some(LEG_REJECTED));
+                        last = FailureCause::Rejected(status);
+                        done = Some(t.carry(done));
+                        b_dead = true;
+                    }
+                    Ok(_) => leg_b = Some(t),
+                    Err(e) => {
+                        last = b_client.verb_failure(thread, e);
+                        done = Some(t.carry(done));
                         b_dead = true;
                     }
                 }

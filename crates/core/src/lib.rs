@@ -64,8 +64,6 @@
 //! sim.run_for(SimSpan::millis(1));
 //! ```
 
-pub mod api;
-
 mod client;
 mod conn;
 mod failover;

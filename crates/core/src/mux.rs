@@ -42,9 +42,10 @@ use rfp_simnet::{
     Counter, Gauge, HealthHub, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard,
 };
 
-use crate::client::{CallInfo, CallResult, RfpClient};
-use crate::conn::{Mode, RfpServerConn};
+use crate::client::{CallResult, RfpClient};
+use crate::conn::RfpServerConn;
 use crate::header::RespStatus;
+use crate::overload::rejected_call;
 use crate::reactor::{CoreSpec, Reactor, ReactorConfig, ReactorPolicy};
 use crate::recovery::{RecoveryConfig, RpcError};
 use crate::server::IdlePolicy;
@@ -427,18 +428,7 @@ impl LogicalClient {
         let (_permit, idx) = self.mux.acquire(thread, self).await;
         if thread.now() >= deadline {
             self.mux.release(idx);
-            let out = CallResult {
-                data: Vec::new(),
-                info: CallInfo {
-                    attempts: 0,
-                    extra_read: false,
-                    completed_in: Mode::RemoteFetch,
-                    latency: thread.now() - t0,
-                    server_time_us: 0,
-                    status: RespStatus::Shed,
-                    integrity_retries: 0,
-                },
-            };
+            let out = rejected_call(RespStatus::Shed, thread.now() - t0);
             self.book(thread, &out);
             return out;
         }

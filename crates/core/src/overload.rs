@@ -29,6 +29,10 @@ use std::collections::BTreeMap;
 
 use rfp_simnet::{RetryPolicy, SimSpan, SimTime};
 
+use crate::client::{CallInfo, CallResult};
+use crate::conn::Mode;
+use crate::header::RespStatus;
+
 /// Tunables of the overload-control subsystem. Carried by
 /// [`RfpConfig`](crate::RfpConfig), so both endpoints of a connection
 /// see the same knobs.
@@ -90,6 +94,26 @@ impl Default for OverloadConfig {
             max_probes: 8,
             seed: 0x0C10_AD00,
         }
+    }
+}
+
+/// The outcome of an overload call rejected without a response:
+/// `status` with empty data and no wire traffic booked. Pools and
+/// muxes answer a call whose arrival deadline ran out while it queued
+/// with `rejected_call(RespStatus::Shed, waited)`; the client answers a
+/// call that gave up after repeated rejections with its last verdict.
+pub(crate) fn rejected_call(status: RespStatus, latency: SimSpan) -> CallResult {
+    CallResult {
+        data: Vec::new(),
+        info: CallInfo {
+            attempts: 0,
+            extra_read: false,
+            completed_in: Mode::RemoteFetch,
+            latency,
+            server_time_us: 0,
+            status,
+            integrity_retries: 0,
+        },
     }
 }
 

@@ -20,9 +20,9 @@ use std::rc::Rc;
 use rfp_rnic::ThreadCtx;
 use rfp_simnet::{Counter, Gauge, Histogram, MetricsRegistry, Semaphore, SemaphoreGuard};
 
-use crate::client::{CallInfo, CallResult, RfpClient};
-use crate::conn::Mode;
+use crate::client::{CallResult, RfpClient};
 use crate::header::RespStatus;
+use crate::overload::rejected_call;
 
 /// Registry-backed pool instruments (see
 /// [`attach_telemetry`](RfpPool::attach_telemetry)).
@@ -186,18 +186,7 @@ impl RfpPool {
             if let Some(ins) = &*self.instruments.borrow() {
                 ins.local_sheds.incr();
             }
-            return CallResult {
-                data: Vec::new(),
-                info: CallInfo {
-                    attempts: 0,
-                    extra_read: false,
-                    completed_in: Mode::RemoteFetch,
-                    latency: thread.now() - t0,
-                    server_time_us: 0,
-                    status: RespStatus::Shed,
-                    integrity_retries: 0,
-                },
-            };
+            return rejected_call(RespStatus::Shed, thread.now() - t0);
         }
         let out = self.clients[idx]
             .call_overload(thread, req, Some(deadline))

@@ -5,10 +5,11 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use rfp_core::{
-    connect, serve_loop, FailoverConfig, RecoveryConfig, ReplicaClient, RfpConfig, RfpServerConn,
+    connect, serve_loop, FailoverConfig, GrayConfig, IntegrityConfig, RecoveryConfig,
+    ReplicaClient, RfpConfig, RfpServerConn, RfpTelemetry,
 };
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
-use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
+use rfp_simnet::{MetricsRegistry, RetryPolicy, SimSpan, Simulation, SpanRecorder};
 
 /// One client machine plus two server machines, both echoing; the
 /// router prefers machine 1 (replica 0) and falls back to machine 2.
@@ -167,4 +168,90 @@ fn backoff_streak_resets_after_a_successful_failover() {
     // the next transient error after a clean failover starts from the
     // streak the dead replica left behind and over-backs-off.
     assert_eq!(r.router.fail_streak(), 0);
+}
+
+/// A hedged read that discarded corrupt fetches says so: its
+/// `integrity_retries` equals the rise of its connection's
+/// `fetch.integrity_retries` counter. The routed replica sits under a
+/// bit-flip window; the hedge leg races on a healthy but slow replica
+/// and never wins, so every discard belongs to the leg that answers.
+#[test]
+fn hedged_reads_report_their_discarded_fetches() {
+    let mut sim = Simulation::new(31);
+    let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
+    let client_m = cluster.machine(0);
+    let registries = [MetricsRegistry::new(), MetricsRegistry::new()];
+    let mut replicas = Vec::new();
+    for s in 1..3usize {
+        let (cl, sc) = connect(
+            &client_m,
+            &cluster.machine(s),
+            cluster.qp(0, s),
+            cluster.qp(s, 0),
+            RfpConfig {
+                enable_mode_switch: false,
+                integrity: IntegrityConfig {
+                    enabled: true,
+                    ..IntegrityConfig::default()
+                },
+                telemetry: Some(RfpTelemetry {
+                    registry: registries[s - 1].clone(),
+                    spans: SpanRecorder::new(16),
+                    prefix: format!("rfp.client.{s}"),
+                    track: s as u32,
+                }),
+                ..RfpConfig::default()
+            },
+        );
+        cl.set_reconnect(cluster.qp_factory(0, s));
+        let process = if s == 1 {
+            SimSpan::nanos(200)
+        } else {
+            SimSpan::micros(200)
+        };
+        sim.spawn(serve_loop(
+            cluster.machine(s).thread(format!("server-{s}")),
+            vec![Rc::new(sc)],
+            move |req: &[u8]| (req.to_vec(), process),
+            SimSpan::nanos(100),
+        ));
+        replicas.push(Rc::new(cl));
+    }
+    cluster.machine(1).faults().set_bitflip(0.3);
+    let router = ReplicaClient::new(
+        replicas,
+        FailoverConfig {
+            gray: GrayConfig {
+                enabled: true,
+                scored_routing: false,
+                hedging: true,
+                ..GrayConfig::default()
+            },
+            ..FailoverConfig::default()
+        },
+    );
+    let t = client_m.thread("client");
+    let (discarded, calls) = (Rc::new(Cell::new(0u32)), Rc::new(Cell::new(0u32)));
+    let (d, c) = (Rc::clone(&discarded), Rc::clone(&calls));
+    let reg = registries[0].clone();
+    sim.spawn(async move {
+        for i in 0..40u8 {
+            // Responses fill most of the `F`-byte fetch, so most flips
+            // land inside the verified image.
+            let req = vec![i; 200];
+            let before = reg.counter("fetch.integrity_retries").get();
+            let out = router.call_hedged(&t, &req).await.expect("hedged read");
+            assert_eq!(out.data, req);
+            let rise = reg.counter("fetch.integrity_retries").get() - before;
+            assert_eq!(out.info.integrity_retries as u64, rise, "call {i}");
+            d.set(d.get() + out.info.integrity_retries);
+            c.set(c.get() + 1);
+        }
+    });
+    sim.run_for(SimSpan::millis(20));
+    assert_eq!(calls.get(), 40);
+    assert!(
+        discarded.get() > 0,
+        "the bit-flip window corrupted no fetch"
+    );
 }

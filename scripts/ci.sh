@@ -5,6 +5,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# Every crate's tests, benches and binaries, and the whole workspace
+# suite (the client call-engine oracle and the reactor identity
+# proptests included).
+cargo build --release --workspace --all-targets
+cargo test --workspace --release -q
 # The reactor identity oracle (idle chains replay the frozen legacy
 # serve loops byte for byte) and the executor's own suite.
 cargo test --release -q -p rfp-core --test reactor_identity
@@ -52,6 +57,9 @@ cmp /tmp/pipeline_a.json BENCH_pipeline.json
 if git cat-file -e HEAD:BENCH_pipeline.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/pipeline_a.json | sort) \
        <(git show HEAD:BENCH_pipeline.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_pipeline.json) BENCH_pipeline.json
 fi
 
 # Doctor smoke: the binary asserts the full fault-class detection
@@ -68,6 +76,9 @@ cmp /tmp/doctor_a.json BENCH_doctor.json
 if git cat-file -e HEAD:BENCH_doctor.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/doctor_a.json | sort) \
        <(git show HEAD:BENCH_doctor.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_doctor.json) BENCH_doctor.json
 fi
 
 # Fleet smoke: the binary asserts the fleet-scaling claims (flat server
@@ -85,6 +96,9 @@ cmp /tmp/fleet_a.json BENCH_fleet.json
 if git cat-file -e HEAD:BENCH_fleet.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/fleet_a.json | sort) \
        <(git show HEAD:BENCH_fleet.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_fleet.json) BENCH_fleet.json
 fi
 
 # Failover smoke: the binary asserts the replication/failover claims
@@ -103,6 +117,9 @@ cmp /tmp/failover_a.json BENCH_failover.json
 if git cat-file -e HEAD:BENCH_failover.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/failover_a.json | sort) \
        <(git show HEAD:BENCH_failover.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_failover.json) BENCH_failover.json
 fi
 
 # Gray-failure smoke: the binary asserts the resilience claims (each
@@ -121,6 +138,9 @@ cmp /tmp/grayfail_a.json BENCH_grayfail.json
 if git cat-file -e HEAD:BENCH_grayfail.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/grayfail_a.json | sort) \
        <(git show HEAD:BENCH_grayfail.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_grayfail.json) BENCH_grayfail.json
 fi
 
 # Cores smoke: the binary asserts the core-scaling claims (uniform
@@ -138,4 +158,7 @@ cmp /tmp/cores_a.json BENCH_cores.json
 if git cat-file -e HEAD:BENCH_cores.json 2>/dev/null; then
   diff <(grep -o '"[^"]*":' /tmp/cores_a.json | sort) \
        <(git show HEAD:BENCH_cores.json | grep -o '"[^"]*":' | sort)
+  # Runs are deterministic: the regenerated file is the committed one,
+  # byte for byte.
+  cmp <(git show HEAD:BENCH_cores.json) BENCH_cores.json
 fi
