@@ -126,7 +126,7 @@ fn main() {
         let rig = spawn_chaos_kv(&mut sim, &cfg, plan.as_ref());
         sim.run_for(WINDOW);
 
-        let snap = rig.registry.snapshot();
+        let snap = rig.sinks.registry.snapshot();
         let scalar = |n: &str| snap.scalar(n).unwrap_or(0.0) as u64;
         let faults_fired = [
             "fault.loss_bursts",

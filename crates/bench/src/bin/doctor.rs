@@ -14,12 +14,17 @@
 //! cargo run --release -p rfp-bench --bin doctor [seed]
 //! ```
 
+use std::cell::Cell;
+
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_chaos_kv, spawn_failover_kv, ChaosConfig, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{
+    spawn_chaos_kv, spawn_replicated_kv, ChaosConfig, FaultPlan, ReplicatedConfig, RigSinks,
+};
 use rfp_core::{IntegrityConfig, OverloadConfig};
 use rfp_kvstore::{spawn_cores_kv, CoresConfig};
 use rfp_simnet::{
-    AnomalyConfig, AnomalyDetector, AnomalyKind, DumpBundle, SimSpan, SimTime, Simulation,
+    Anomaly, AnomalyConfig, AnomalyDetector, AnomalyKind, DumpBundle, MetricsRegistry, SimSpan,
+    SimTime, Simulation,
 };
 
 /// Faults strike after this much warm-up…
@@ -29,26 +34,55 @@ const FAULT_SPAN: SimSpan = SimSpan::millis(1);
 /// Server downtime of the crash scenario.
 const DOWNTIME: SimSpan = SimSpan::micros(300);
 
+/// The rig a row of the detection matrix runs on.
+#[derive(Clone, Copy)]
+enum Rig {
+    /// The chaos rig; `overload` arms credit-based admission + deadline
+    /// shedding.
+    Chaos { overload: bool },
+    /// The replicated rig's failover preset. A faulted row's crash is
+    /// permanent and the failure detector promotes the backup 60 µs
+    /// after it.
+    Failover,
+}
+
+/// The anomaly class a fault must surface as, and the evidence its
+/// dump-on-anomaly bundle must carry.
+struct Signature {
+    kind: AnomalyKind,
+    /// The root flight-recorder event the fault leaves in the ring; the
+    /// bundle must chain back to it.
+    root: &'static str,
+    /// Further reaction chains the bundle must contain.
+    chains: &'static [&'static str],
+}
+
 /// One row of the detection matrix.
 struct Scenario {
     name: &'static str,
+    rig: Rig,
     plan: Option<FaultPlan>,
-    /// Arm credit-based admission + deadline shedding (overload row).
-    overload: bool,
-    /// The anomaly class this fault must surface as, and the root
-    /// flight-recorder event its dump bundle must chain back to.
-    signature: Option<(AnomalyKind, &'static str)>,
+    /// `None` for a clean row, which must raise nothing at all.
+    signature: Option<Signature>,
     /// Incidental classes the fault may legitimately also raise.
     allowed: &'static [AnomalyKind],
 }
 
 fn scenarios(seed: u64) -> Vec<Scenario> {
     use AnomalyKind::*;
+    let chaos = Rig::Chaos { overload: false };
+    let sig = |kind, root| {
+        Some(Signature {
+            kind,
+            root,
+            chains: &[],
+        })
+    };
     vec![
         Scenario {
             name: "clean",
+            rig: chaos,
             plan: None,
-            overload: false,
             signature: None,
             allowed: &[],
         },
@@ -58,9 +92,9 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
         // rises too, but that is the shared symptom of every slowdown).
         Scenario {
             name: "straggler",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).straggler(FAULT_AT, FAULT_SPAN, 0, 16.0)),
-            overload: false,
-            signature: Some((RetrySpike, "chaos.straggler")),
+            signature: sig(RetrySpike, "chaos.straggler"),
             // A straggler is degraded-but-alive, so the rootless
             // regression it causes legitimately co-fires as gray.
             allowed: &[LatencyRegression, GrayFailure],
@@ -71,9 +105,9 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
         // retransmit rounds produce.
         Scenario {
             name: "loss_burst",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).loss_burst(FAULT_AT, FAULT_SPAN, 0, 0.7)),
-            overload: false,
-            signature: Some((LatencyRegression, "chaos.loss_burst")),
+            signature: sig(LatencyRegression, "chaos.loss_burst"),
             // RC retransmission leaves no hard-failure root, so the
             // regression also carries the gray-failure signature.
             allowed: &[RetrySpike, GrayFailure],
@@ -83,42 +117,197 @@ fn scenarios(seed: u64) -> Vec<Scenario> {
         // *rootless* regression the gray-failure detector exists for.
         Scenario {
             name: "gray_slow_server",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).slow_server(FAULT_AT, FAULT_SPAN, 0, 16.0)),
-            overload: false,
-            signature: Some((GrayFailure, "chaos.slow_server")),
+            signature: sig(GrayFailure, "chaos.slow_server"),
             allowed: &[LatencyRegression, RetrySpike],
         },
         // A fail-slow link: the wire itself lags while the RC transport
         // stays error-free — gray again, rooted at `chaos.slow_link`.
         Scenario {
             name: "gray_slow_link",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).slow_link(FAULT_AT, FAULT_SPAN, 0, 20_000)),
-            overload: false,
-            signature: Some((GrayFailure, "chaos.slow_link")),
+            signature: sig(GrayFailure, "chaos.slow_link"),
             allowed: &[LatencyRegression, RetrySpike],
         },
         Scenario {
             name: "bit_flip",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).bit_flip(FAULT_AT, FAULT_SPAN, 0, 0.05)),
-            overload: false,
-            signature: Some((CorruptionBurst, "chaos.bit_flip")),
+            signature: sig(CorruptionBurst, "chaos.bit_flip"),
             allowed: &[LatencyRegression, RetrySpike],
         },
         Scenario {
             name: "overload",
+            rig: Rig::Chaos { overload: true },
             plan: Some(FaultPlan::new(seed).straggler(FAULT_AT, FAULT_SPAN, 0, 64.0)),
-            overload: true,
-            signature: Some((OverloadShedding, "chaos.straggler")),
+            signature: sig(OverloadShedding, "chaos.straggler"),
             allowed: &[LatencyRegression, RetrySpike, CreditStarvation],
         },
         Scenario {
             name: "warm_crash",
+            rig: chaos,
             plan: Some(FaultPlan::new(seed).crash(FAULT_AT, DOWNTIME, 0, true)),
-            overload: false,
-            signature: Some((ConnectionDrop, "chaos.crash")),
+            signature: sig(ConnectionDrop, "chaos.crash"),
             allowed: &[LatencyRegression, RetrySpike],
         },
+        // The replicated rig, clean: nothing may look like a failover
+        // when nobody failed over.
+        Scenario {
+            name: "failover_clean",
+            rig: Rig::Failover,
+            plan: None,
+            signature: None,
+            allowed: &[],
+        },
+        // A primary crash: the bundle must chain the clients'
+        // `recovery.failover` reaction back to the `chaos.crash` root.
+        Scenario {
+            name: "failover",
+            rig: Rig::Failover,
+            plan: Some(FaultPlan::new(seed).crash(FAULT_AT, SimSpan::millis(100), 0, true)),
+            signature: Some(Signature {
+                kind: Failover,
+                root: "chaos.crash",
+                chains: &["recovery.failover"],
+            }),
+            allowed: &[ConnectionDrop, LatencyRegression, RetrySpike],
+        },
     ]
+}
+
+/// The CSV column listing the detected classes.
+fn detected_column(detected: &[AnomalyKind]) -> String {
+    if detected.is_empty() {
+        return "none".to_string();
+    }
+    detected
+        .iter()
+        .map(|k| k.as_str())
+        .collect::<Vec<_>>()
+        .join("+")
+}
+
+/// Stable-shape export: every (row, kind) cell of the matrix gets a
+/// counter, zero or not.
+fn export(bench: &MetricsRegistry, name: &str, anomalies: &[Anomaly], completed: u64) {
+    for kind in AnomalyKind::all() {
+        let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
+        bench
+            .counter(&format!("bench.doctor.{}.{}", name, kind.as_str()))
+            .add(count);
+    }
+    bench
+        .counter(&format!("bench.doctor.{name}.completed"))
+        .add(completed);
+}
+
+/// Drives one row on a freshly spawned rig: warm-up, baseline, fault
+/// window, scan, the detection assertions, the dump bundle, the tail,
+/// then prints and exports the row.
+fn diagnose(
+    sim: &mut Simulation,
+    sinks: &RigSinks,
+    completed: &Cell<u64>,
+    row: &Scenario,
+    bench: &MetricsRegistry,
+) {
+    // Phase 1 — warm-up: establish each connection's baseline.
+    sim.run_for(FAULT_AT.since(SimTime::ZERO));
+    let detector = AnomalyDetector::new(AnomalyConfig::default());
+    detector.set_baseline(&sinks.health.report(sim.handle().now()));
+
+    // Phase 2 — the fault window; scan while its effects are still
+    // inside the rolling health window.
+    sim.run_for(FAULT_SPAN);
+    let scan_now = sim.handle().now();
+    let report = sinks.health.report(scan_now);
+    let anomalies = detector.scan(&report);
+
+    // Detection matrix assertions.
+    let mut detected: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
+    detected.sort();
+    detected.dedup();
+    let mut bundle_bytes = 0usize;
+    match &row.signature {
+        None => assert!(
+            anomalies.is_empty(),
+            "{}: clean row raised anomalies: {anomalies:?}",
+            row.name
+        ),
+        Some(sig) => {
+            assert!(
+                detected.contains(&sig.kind),
+                "{}: expected {} anomaly, detected {:?} (report: {:?})",
+                row.name,
+                sig.kind.as_str(),
+                detected,
+                report.conns
+            );
+            for kind in &detected {
+                assert!(
+                    *kind == sig.kind || row.allowed.contains(kind),
+                    "{}: unexpected {} anomaly (allowed: {:?})",
+                    row.name,
+                    kind.as_str(),
+                    row.allowed
+                );
+            }
+            // The injected fault's root event must be in the ring.
+            assert!(
+                sinks.recorder.kind_count(sig.root) >= 1,
+                "{}: no {} root event: {:?}",
+                row.name,
+                sig.root,
+                sinks.recorder.kind_counts()
+            );
+
+            // Dump-on-anomaly: the bundle of the first signature
+            // anomaly must carry the originating cause chain.
+            let anomaly = anomalies
+                .iter()
+                .find(|a| a.kind == sig.kind)
+                .expect("signature anomaly present (asserted above)");
+            let snap = sinks.registry.snapshot();
+            let bundle = DumpBundle {
+                anomaly,
+                recorder: Some(&sinks.recorder),
+                metrics: Some(&snap),
+                spans: Some(&sinks.spans),
+                window: (FAULT_AT, scan_now),
+            };
+            let mut dump = Vec::new();
+            bundle.write(&mut dump).expect("write bundle to vec");
+            let text = String::from_utf8(dump).expect("bundle is utf8");
+            for chain in std::iter::once(&sig.root).chain(sig.chains) {
+                assert!(
+                    text.contains(chain),
+                    "{}: dump bundle lost the {chain} cause chain",
+                    row.name
+                );
+            }
+            bundle_bytes = text.len();
+        }
+    }
+
+    // Phase 3 — run out the tail so `completed` reflects a healed rig
+    // (the fault window is over; the fleet must keep serving).
+    sim.run_for(SimSpan::millis(3));
+
+    let win = report.conns.first();
+    println!(
+        "{},{},{},{},{:.3},{},{},{}",
+        row.name,
+        completed.get(),
+        win.map(|c| c.calls).unwrap_or(0),
+        win.map(|c| c.p99_ns / 1_000).unwrap_or(0),
+        win.map(|c| c.retry_rate).unwrap_or(0.0),
+        row.signature.as_ref().map_or("none", |s| s.kind.as_str()),
+        detected_column(&detected),
+        bundle_bytes,
+    );
+    export(bench, row.name, &anomalies, completed.get());
 }
 
 fn main() {
@@ -135,263 +324,46 @@ fn main() {
     println!("scenario,completed,calls_win,p99_us,retry_rate,expected,detected,bundle_bytes");
 
     let bench = bench_registry();
-    for scenario in scenarios(seed) {
+    for row in scenarios(seed) {
         let mut sim = Simulation::new(seed);
-        let mut cfg = ChaosConfig {
-            seed,
-            // Integrity on everywhere so corrupt fetches are detected
-            // and refetched rather than surfaced (the bit-flip row
-            // would otherwise panic in the response decoder).
-            integrity: IntegrityConfig {
-                enabled: true,
-                ..IntegrityConfig::default()
-            },
-            ..ChaosConfig::default()
-        };
-        if scenario.overload {
-            cfg.overload = OverloadConfig {
-                enabled: true,
-                deadline: SimSpan::micros(25),
-                ..OverloadConfig::default()
-            };
-        }
-        let rig = spawn_chaos_kv(&mut sim, &cfg, scenario.plan.as_ref());
-
-        // Phase 1 — warm-up: establish each connection's baseline.
-        sim.run_for(FAULT_AT.since(SimTime::ZERO));
-        let detector = AnomalyDetector::new(AnomalyConfig::default());
-        detector.set_baseline(&rig.health.report(sim.handle().now()));
-
-        // Phase 2 — the fault window; scan while its effects are still
-        // inside the rolling health window.
-        sim.run_for(FAULT_SPAN);
-        let scan_now = sim.handle().now();
-        let report = rig.health.report(scan_now);
-        let anomalies = detector.scan(&report);
-
-        // Detection matrix assertions.
-        let mut detected: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
-        detected.sort();
-        detected.dedup();
-        match scenario.signature {
-            None => assert!(
-                anomalies.is_empty(),
-                "clean baseline raised anomalies: {anomalies:?}"
-            ),
-            Some((expected, root_kind)) => {
-                assert!(
-                    detected.contains(&expected),
-                    "{}: expected {} anomaly, detected {:?} (report: {:?})",
-                    scenario.name,
-                    expected.as_str(),
-                    detected,
-                    report.conns
-                );
-                for kind in &detected {
-                    assert!(
-                        *kind == expected || scenario.allowed.contains(kind),
-                        "{}: unexpected {} anomaly (allowed: {:?})",
-                        scenario.name,
-                        kind.as_str(),
-                        scenario.allowed
-                    );
+        match row.rig {
+            Rig::Chaos { overload } => {
+                let mut cfg = ChaosConfig {
+                    seed,
+                    // Integrity on everywhere so corrupt fetches are
+                    // detected and refetched rather than surfaced (the
+                    // bit-flip row would otherwise panic in the
+                    // response decoder).
+                    integrity: IntegrityConfig {
+                        enabled: true,
+                        ..IntegrityConfig::default()
+                    },
+                    ..ChaosConfig::default()
+                };
+                if overload {
+                    cfg.overload = OverloadConfig {
+                        enabled: true,
+                        deadline: SimSpan::micros(25),
+                        ..OverloadConfig::default()
+                    };
                 }
-                // The injected fault's root event must be in the ring.
-                assert!(
-                    rig.recorder.kind_count(root_kind) >= 1,
-                    "{}: no {} root event: {:?}",
-                    scenario.name,
-                    root_kind,
-                    rig.recorder.kind_counts()
-                );
+                let rig = spawn_chaos_kv(&mut sim, &cfg, row.plan.as_ref());
+                diagnose(&mut sim, &rig.sinks, &rig.state.completed, &row, &bench);
+            }
+            Rig::Failover => {
+                let cfg = ReplicatedConfig {
+                    seed,
+                    // Enough budget that the clients are still
+                    // mid-workload through warm-up, fault window, and
+                    // tail.
+                    ops_per_client: 4_000,
+                    ..ReplicatedConfig::failover()
+                };
+                let promote_at = row.plan.is_some().then(|| FAULT_AT + SimSpan::micros(60));
+                let rig = spawn_replicated_kv(&mut sim, &cfg, row.plan.as_ref(), promote_at);
+                diagnose(&mut sim, &rig.sinks, &rig.state.completed, &row, &bench);
             }
         }
-
-        // Dump-on-anomaly: the bundle of the first signature anomaly
-        // must carry the originating cause chain.
-        let mut bundle_bytes = 0usize;
-        if let Some((expected, root_kind)) = scenario.signature {
-            let anomaly = anomalies
-                .iter()
-                .find(|a| a.kind == expected)
-                .expect("signature anomaly present (asserted above)");
-            let snap = rig.registry.snapshot();
-            let bundle = DumpBundle {
-                anomaly,
-                recorder: Some(&rig.recorder),
-                metrics: Some(&snap),
-                spans: Some(&rig.spans),
-                window: (FAULT_AT, scan_now),
-            };
-            let mut dump = Vec::new();
-            bundle.write(&mut dump).expect("write bundle to vec");
-            let text = String::from_utf8(dump).expect("bundle is utf8");
-            assert!(
-                text.contains(root_kind),
-                "{}: dump bundle lost the {} cause chain",
-                scenario.name,
-                root_kind
-            );
-            bundle_bytes = text.len();
-        }
-
-        // Phase 3 — run out the tail so `completed` reflects a healed
-        // rig (the fault window is over; the fleet must keep serving).
-        sim.run_for(SimSpan::millis(3));
-
-        let win = report.conns.first();
-        println!(
-            "{},{},{},{},{:.3},{},{},{}",
-            scenario.name,
-            rig.state.completed.get(),
-            win.map(|c| c.calls).unwrap_or(0),
-            win.map(|c| c.p99_ns / 1_000).unwrap_or(0),
-            win.map(|c| c.retry_rate).unwrap_or(0.0),
-            scenario
-                .signature
-                .map(|(k, _)| k.as_str())
-                .unwrap_or("none"),
-            if detected.is_empty() {
-                "none".to_string()
-            } else {
-                detected
-                    .iter()
-                    .map(|k| k.as_str())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            },
-            bundle_bytes,
-        );
-
-        // Stable-shape export: every (scenario, kind) cell of the
-        // matrix gets a counter, zero or not.
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", scenario.name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{}.completed", scenario.name))
-            .add(rig.state.completed.get());
-    }
-
-    // ---- failover rows: the replicated primary/backup rig ----
-    //
-    // Same phases as above, but on the failover rig: a clean run (zero
-    // false positives — nothing may look like a failover when nobody
-    // failed over) and a primary crash whose signature anomaly is
-    // `failover`, with a dump bundle that chains the clients'
-    // `recovery.failover` reaction back to the `chaos.crash` root.
-    for (name, faulted) in [("failover_clean", false), ("failover", true)] {
-        let mut sim = Simulation::new(seed);
-        let cfg = FailoverChaosConfig {
-            seed,
-            // Enough budget that the clients are still mid-workload
-            // through warm-up, fault window, and tail.
-            ops_per_client: 4_000,
-            ..FailoverChaosConfig::default()
-        };
-        let plan =
-            faulted.then(|| FaultPlan::new(seed).crash(FAULT_AT, SimSpan::millis(100), 0, true));
-        let promote_at = faulted.then(|| FAULT_AT + SimSpan::micros(60));
-        let rig = spawn_failover_kv(&mut sim, &cfg, plan.as_ref(), promote_at);
-
-        sim.run_for(FAULT_AT.since(SimTime::ZERO));
-        let detector = AnomalyDetector::new(AnomalyConfig::default());
-        detector.set_baseline(&rig.health.report(sim.handle().now()));
-        sim.run_for(FAULT_SPAN);
-        let scan_now = sim.handle().now();
-        let report = rig.health.report(scan_now);
-        let anomalies = detector.scan(&report);
-
-        let mut detected: Vec<AnomalyKind> = anomalies.iter().map(|a| a.kind).collect();
-        detected.sort();
-        detected.dedup();
-        let mut bundle_bytes = 0usize;
-        if faulted {
-            use AnomalyKind::*;
-            assert!(
-                detected.contains(&Failover),
-                "failover: expected failover anomaly, detected {detected:?} (report: {:?})",
-                report.conns
-            );
-            for kind in &detected {
-                assert!(
-                    matches!(
-                        kind,
-                        Failover | ConnectionDrop | LatencyRegression | RetrySpike
-                    ),
-                    "failover: unexpected {} anomaly",
-                    kind.as_str()
-                );
-            }
-            assert!(
-                rig.recorder.kind_count("chaos.crash") >= 1,
-                "failover: no chaos.crash root event: {:?}",
-                rig.recorder.kind_counts()
-            );
-            let anomaly = anomalies
-                .iter()
-                .find(|a| a.kind == Failover)
-                .expect("failover anomaly present (asserted above)");
-            let snap = rig.registry.snapshot();
-            let bundle = DumpBundle {
-                anomaly,
-                recorder: Some(&rig.recorder),
-                metrics: Some(&snap),
-                spans: Some(&rig.spans),
-                window: (FAULT_AT, scan_now),
-            };
-            let mut dump = Vec::new();
-            bundle.write(&mut dump).expect("write bundle to vec");
-            let text = String::from_utf8(dump).expect("bundle is utf8");
-            for needle in ["chaos.crash", "recovery.failover"] {
-                assert!(
-                    text.contains(needle),
-                    "failover: dump bundle lost the {needle} cause chain"
-                );
-            }
-            bundle_bytes = text.len();
-        } else {
-            assert!(
-                anomalies.is_empty(),
-                "clean failover rig raised anomalies: {anomalies:?}"
-            );
-        }
-
-        sim.run_for(SimSpan::millis(3));
-
-        let win = report.conns.first();
-        println!(
-            "{},{},{},{},{:.3},{},{},{}",
-            name,
-            rig.state.completed.get(),
-            win.map(|c| c.calls).unwrap_or(0),
-            win.map(|c| c.p99_ns / 1_000).unwrap_or(0),
-            win.map(|c| c.retry_rate).unwrap_or(0.0),
-            if faulted { "failover" } else { "none" },
-            if detected.is_empty() {
-                "none".to_string()
-            } else {
-                detected
-                    .iter()
-                    .map(|k| k.as_str())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            },
-            bundle_bytes,
-        );
-
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{name}.completed"))
-            .add(rig.state.completed.get());
     }
 
     // ---- core-balance rows: the multi-core serve reactor rig ----
@@ -444,26 +416,9 @@ fn main() {
             name,
             sys.stats.completed.get(),
             if steal { "none" } else { "core_imbalance" },
-            if detected.is_empty() {
-                "none".to_string()
-            } else {
-                detected
-                    .iter()
-                    .map(|k| k.as_str())
-                    .collect::<Vec<_>>()
-                    .join("+")
-            },
+            detected_column(&detected),
         );
-
-        for kind in AnomalyKind::all() {
-            let count = anomalies.iter().filter(|a| a.kind == kind).count() as u64;
-            bench
-                .counter(&format!("bench.doctor.{}.{}", name, kind.as_str()))
-                .add(count);
-        }
-        bench
-            .counter(&format!("bench.doctor.{name}.completed"))
-            .add(sys.stats.completed.get());
+        export(&bench, name, &anomalies, sys.stats.completed.get());
     }
 
     let path = emit_bench_json("doctor").expect("write bench json");

@@ -2,9 +2,9 @@
 //! faults, across ack policies and load, plus the steady-state
 //! replication tax on the headline 32 B bar.
 //!
-//! Part one runs the chaos failover rig (primary/backup replication,
-//! epoch-fenced promotion, client-side replica routing) through
-//! `{primary_crash, partition} x {sync, async} x {light, heavy}` and
+//! Part one runs the replicated rig's failover preset (primary/backup
+//! replication, epoch-fenced promotion, client-side replica routing)
+//! through `{primary_crash, partition} x {sync, async} x {light, heavy}` and
 //! reports, per cell, the safety counters, the failover count and
 //! timing, and whether the recorded operation history passes the
 //! linearizability checker. Sync cells must show **zero lost acked
@@ -25,19 +25,17 @@
 //! cargo run --release -p rfp-bench --bin failover [seed]
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_failover_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_replicated_kv, FaultPlan, ReplicatedConfig};
 use rfp_core::{connect, RfpConfig};
-use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
-use rfp_kvstore::{KvRequest, Partition};
+use rfp_kvstore::replica::{AckPolicy, ReplicaPair, ReplicationConfig};
+use rfp_kvstore::KvRequest;
 use rfp_rnic::{Cluster, ClusterProfile};
 use rfp_simnet::{derive_seed, SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -74,7 +72,7 @@ fn ack_name(ack: AckPolicy) -> &'static str {
 
 fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
     let mut sim = Simulation::new(seed);
-    let cfg = FailoverChaosConfig {
+    let cfg = ReplicatedConfig {
         clients,
         replication: ReplicationConfig {
             enabled: true,
@@ -82,7 +80,7 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
             ..ReplicationConfig::default()
         },
         seed,
-        ..FailoverChaosConfig::default()
+        ..ReplicatedConfig::failover()
     };
     let (plan, promote_at) = match scenario {
         // The primary dies for good: downtime outlives the run.
@@ -100,7 +98,7 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
         ),
         other => panic!("unknown scenario {other}"),
     };
-    let rig = spawn_failover_kv(&mut sim, &cfg, Some(&plan), promote_at);
+    let rig = spawn_replicated_kv(&mut sim, &cfg, Some(&plan), promote_at);
     sim.run_for(WINDOW);
 
     let st = &rig.state;
@@ -184,36 +182,22 @@ fn run_scenario(seed: u64, scenario: &str, ack: AckPolicy, clients: usize) {
 fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
     let mut sim = Simulation::new(seed);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
-    let (primary_m, backup_m, client_m) =
-        (cluster.machine(0), cluster.machine(1), cluster.machine(2));
-    let partition = Rc::new(RefCell::new(Partition::new(1024)));
-    let backup_part = Rc::new(RefCell::new(Partition::new(1024)));
-    let plain = || RfpConfig {
-        enable_mode_switch: false,
-        ..RfpConfig::default()
-    };
-
-    let (ship, repl_conn) = connect(
-        &primary_m,
-        &backup_m,
-        cluster.qp(0, 1),
-        cluster.qp(1, 0),
-        plain(),
-    );
-    ship.set_reconnect(cluster.qp_factory(0, 1));
+    let mut pair = ReplicaPair::connect(&cluster, 1024);
 
     let completed = Rc::new(Cell::new(0u64));
-    let mut conns = Vec::with_capacity(TAX_WORKERS);
     for w in 0..TAX_WORKERS {
         let (cl, sc) = connect(
-            &client_m,
-            &primary_m,
+            &cluster.machine(2),
+            &cluster.machine(0),
             cluster.qp(2, 0),
             cluster.qp(0, 2),
-            plain(),
+            RfpConfig {
+                enable_mode_switch: false,
+                ..RfpConfig::default()
+            },
         );
-        conns.push(Rc::new(sc));
-        let thread = client_m.thread(format!("tax-w{w}"));
+        pair.attach(0, Rc::new(sc));
+        let thread = cluster.machine(2).thread(format!("tax-w{w}"));
         let done = Rc::clone(&completed);
         let mut rng = StdRng::seed_from_u64(derive_seed(seed, 0x7A_0000 + w as u64));
         sim.spawn(async move {
@@ -242,32 +226,21 @@ fn tax_run(seed: u64, repl: Option<AckPolicy>) -> (u64, u64) {
         });
     }
 
-    let role = Rc::new(PrimaryRole::default());
-    sim.spawn(primary_serve_loop(
-        primary_m.thread("tax-primary"),
-        conns,
-        Rc::clone(&partition),
-        Rc::new(ship),
+    pair.spawn(
+        &mut sim,
+        &cluster,
         ReplicationConfig {
             enabled: repl.is_some(),
             ack: repl.unwrap_or(AckPolicy::Sync),
             ..ReplicationConfig::default()
         },
-        Rc::clone(&role),
-        SimSpan::nanos(100),
-    ));
-    sim.spawn(backup_serve_loop(
-        backup_m.thread("tax-backup"),
-        Rc::new(repl_conn),
-        Vec::new(),
-        backup_part,
-        Rc::new(BackupRole::default()),
-        SimSpan::nanos(100),
-    ));
-
+    );
     sim.run_for(TAX_WINDOW);
-    assert!(!role.solo.get(), "tax rig lost its backup mid-measurement");
-    (completed.get(), role.shipped_entries.get())
+    assert!(
+        !pair.primary_role.solo.get(),
+        "tax rig lost its backup mid-measurement"
+    );
+    (completed.get(), pair.primary_role.shipped_entries.get())
 }
 
 fn main() {

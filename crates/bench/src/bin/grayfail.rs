@@ -27,7 +27,7 @@
 //! ```
 
 use rfp_bench::telemetry::{bench_registry, emit_bench_json};
-use rfp_chaos::{spawn_grayfail_kv, FaultPlan, GrayChaosConfig};
+use rfp_chaos::{spawn_replicated_kv, FaultPlan, ReplicatedConfig};
 use rfp_core::GrayConfig;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -91,7 +91,7 @@ fn gray_for(mode: &str) -> (GrayConfig, bool) {
 fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     let (gray, hedged_reads) = gray_for(mode);
     let mut sim = Simulation::new(seed);
-    let cfg = GrayChaosConfig {
+    let cfg = ReplicatedConfig {
         clients: 4,
         // 1200 ops over 16 keys keeps every key under the
         // linearizability checker's 128-op search cap.
@@ -100,13 +100,13 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         hedged_reads,
         failover: rfp_core::FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..ReplicatedConfig::gray().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..ReplicatedConfig::gray()
     };
     let plan = plan_for(seed, scenario);
-    let rig = spawn_grayfail_kv(&mut sim, &cfg, plan.as_ref());
+    let rig = spawn_replicated_kv(&mut sim, &cfg, plan.as_ref(), None);
     sim.run_for(WINDOW);
 
     let st = &rig.state;
@@ -124,11 +124,12 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     let (hedges, hedge_wins, hedge_wasted) = rig.total_hedges();
     let (budget_spent, budget_denied) = rig.budget_totals();
     let demotions = rig
+        .sinks
         .registry
         .names()
         .iter()
         .filter(|n| n.as_str() == "routing.demote")
-        .map(|n| rig.registry.counter(n).get())
+        .map(|n| rig.sinks.registry.counter(n).get())
         .sum::<u64>();
 
     println!(
@@ -168,13 +169,13 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
         "{scenario}/{mode}: history failed the linearizability checker"
     );
     assert!(
-        rig.primary_role.applied_mutations.get() <= st.issued_puts.get(),
+        rig.pair.primary_role.applied_mutations.get() <= st.issued_puts.get(),
         "{scenario}/{mode}: duplicate-applied mutation ({} applied, {} issued)",
-        rig.primary_role.applied_mutations.get(),
+        rig.pair.primary_role.applied_mutations.get(),
         st.issued_puts.get()
     );
     assert!(
-        rig.primary_role.applied_mutations.get() >= st.acked_puts.get(),
+        rig.pair.primary_role.applied_mutations.get() >= st.acked_puts.get(),
         "{scenario}/{mode}: acked more than applied"
     );
     // Mitigation visibility: a faulted mitigated cell must demote the
@@ -184,13 +185,13 @@ fn run_cell(seed: u64, scenario: &str, mode: &str) -> CellResult {
     // the doctor's dump bundle surfaces.
     if scenario != "clean" && mode != "baseline" {
         assert!(
-            demotions >= 1 && rig.recorder.kind_count("routing.demote") >= 1,
+            demotions >= 1 && rig.sinks.recorder.kind_count("routing.demote") >= 1,
             "{scenario}/{mode}: no recorded demotion chain"
         );
     }
     if hedges > 0 {
         assert!(
-            rig.recorder.kind_count("recovery.hedge.issued") >= 1,
+            rig.sinks.recorder.kind_count("recovery.hedge.issued") >= 1,
             "{scenario}/{mode}: hedges issued but no recorded hedge chain"
         );
     }

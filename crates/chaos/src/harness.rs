@@ -30,7 +30,8 @@ use rand::{Rng, SeedableRng};
 
 use rfp_core::{
     connect, serve_loop, CoreSpec, FailureCause, IntegrityConfig, OverloadConfig, Reactor,
-    ReactorConfig, ReactorPolicy, RecoveryConfig, RfpConfig, RfpServerConn, RfpTelemetry,
+    ReactorConfig, ReactorPolicy, RecoveryConfig, RfpClient, RfpConfig, RfpServerConn,
+    RfpTelemetry,
 };
 use rfp_kvstore::systems::apply_to_partition;
 use rfp_kvstore::{partition_of, KvRequest, KvResponse, Partition};
@@ -170,23 +171,9 @@ impl ChaosState {
 
 /// A running chaos rig.
 pub struct ChaosKv {
-    /// The simulated cluster (machine 0 is the server).
-    pub cluster: Cluster,
-    /// Unified instruments: `nic.*`, `rfp.client.*`, and — only once
-    /// faults actually fire — `fault.*` / `recovery.*`.
-    pub registry: MetricsRegistry,
-    /// Shared trace (`chaos.fault`, `rfp.recovery`, …).
-    pub trace: TraceLog,
-    /// Request-lifecycle spans of the RFP connections.
-    pub spans: SpanRecorder,
-    /// Always-on flight recorder: `chaos.*` fault roots, `nic.*` wire
-    /// events, and the clients' `recovery.*` / `overload.*` /
-    /// `integrity.*` reaction chains.
-    pub recorder: FlightRecorder,
-    /// Rolling per-connection health (one [`ConnHealth`]
-    /// (rfp_simnet::ConnHealth) per client connection, keyed
-    /// `client * server_threads + server_thread`).
-    pub health: HealthHub,
+    /// The cluster (machine 0 is the server) and the observability
+    /// sinks. Health is keyed `client * server_threads + server_thread`.
+    pub sinks: RigSinks,
     /// Shared outcome counters.
     pub state: Rc<ChaosState>,
     /// The multi-core serve reactor, present only when
@@ -200,46 +187,118 @@ impl ChaosKv {
     pub fn max_recovery_time(&self) -> Option<SimSpan> {
         // Existence check first: reading through `histogram()` would
         // *create* the instrument on a fault-free run.
-        if !self.registry.names().iter().any(|n| n == "recovery.time") {
+        let registry = &self.sinks.registry;
+        if !registry.names().iter().any(|n| n == "recovery.time") {
             return None;
         }
-        self.registry.histogram("recovery.time").max()
+        registry.histogram("recovery.time").max()
     }
 }
 
-/// The RFP tuning the rig runs with: remote fetch only (the recovery
-/// path does not interact with the hybrid switch), wired to the rig's
-/// shared trace and registry.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rig_rfp_cfg(
-    registry: &MetricsRegistry,
-    spans: &SpanRecorder,
-    trace: &TraceLog,
-    recorder: &FlightRecorder,
-    health: &HealthHub,
-    overload: &OverloadConfig,
-    integrity: &IntegrityConfig,
-    idx: usize,
-) -> RfpConfig {
-    RfpConfig {
-        enable_mode_switch: false,
-        overload: OverloadConfig {
-            // Decorrelate the per-connection backoff jitter streams.
-            seed: derive_seed(overload.seed, idx as u64),
-            ..overload.clone()
-        },
-        integrity: integrity.clone(),
-        trace: Some(trace.clone()),
-        telemetry: Some(RfpTelemetry {
-            registry: registry.clone(),
-            spans: spans.clone(),
-            prefix: format!("rfp.client.{idx}"),
-            track: idx as u32,
-        }),
-        recorder: Some(recorder.clone()),
-        health: Some(health.clone()),
-        conn_id: idx as u32,
-        ..RfpConfig::default()
+/// The cluster and observability sinks a rig in this crate wires every
+/// client link to, and the injector its fault plan goes through.
+pub struct RigSinks {
+    /// The simulated cluster.
+    pub cluster: Cluster,
+    /// Unified instruments: `nic.*`, `rfp.client.*`, and — only once
+    /// faults actually fire — `fault.*` / `recovery.*`.
+    pub registry: MetricsRegistry,
+    /// Shared trace (`chaos.fault`, `rfp.recovery`, …).
+    pub trace: TraceLog,
+    /// Request-lifecycle spans of the RFP connections.
+    pub spans: SpanRecorder,
+    /// Always-on flight recorder: `chaos.*` fault roots, `nic.*` wire
+    /// events, and the clients' `recovery.*` / `overload.*` /
+    /// `integrity.*` / `routing.*` reaction chains.
+    pub recorder: FlightRecorder,
+    /// Rolling per-connection health (one
+    /// [`ConnHealth`](rfp_simnet::ConnHealth) per client link, keyed by
+    /// the link index the rig connected it under).
+    pub health: HealthHub,
+}
+
+impl RigSinks {
+    /// A `machines`-machine cluster with every sink attached.
+    pub(crate) fn new(sim: &mut Simulation, profile: &ClusterProfile, machines: usize) -> Self {
+        let cluster = Cluster::new(sim, profile.clone(), machines);
+        let registry = MetricsRegistry::new();
+        cluster.attach_metrics(&registry);
+        let sinks = RigSinks {
+            cluster,
+            registry,
+            trace: TraceLog::new(64 * 1024),
+            spans: SpanRecorder::new(1024),
+            recorder: FlightRecorder::new(64 * 1024),
+            health: HealthHub::default(),
+        };
+        sinks.cluster.attach_recorder(&sinks.recorder);
+        sinks
+    }
+
+    /// Connects a client link from machine `client` to machine `server`
+    /// with a QP-reconnect factory installed. The link runs remote
+    /// fetch only (the recovery path does not interact with the hybrid
+    /// switch), wired to every sink under link index `idx`.
+    pub(crate) fn connect(
+        &self,
+        client: usize,
+        server: usize,
+        overload: &OverloadConfig,
+        integrity: &IntegrityConfig,
+        idx: usize,
+    ) -> (RfpClient, Rc<RfpServerConn>) {
+        let cluster = &self.cluster;
+        let (cl, sc) = connect(
+            &cluster.machine(client),
+            &cluster.machine(server),
+            cluster.qp(client, server),
+            cluster.qp(server, client),
+            RfpConfig {
+                enable_mode_switch: false,
+                overload: OverloadConfig {
+                    // Decorrelate the per-connection backoff jitter streams.
+                    seed: derive_seed(overload.seed, idx as u64),
+                    ..overload.clone()
+                },
+                integrity: integrity.clone(),
+                trace: Some(self.trace.clone()),
+                telemetry: Some(RfpTelemetry {
+                    registry: self.registry.clone(),
+                    spans: self.spans.clone(),
+                    prefix: format!("rfp.client.{idx}"),
+                    track: idx as u32,
+                }),
+                recorder: Some(self.recorder.clone()),
+                health: Some(self.health.clone()),
+                conn_id: idx as u32,
+                ..RfpConfig::default()
+            },
+        );
+        cl.set_reconnect(cluster.qp_factory(client, server));
+        (cl, Rc::new(sc))
+    }
+
+    /// Installs `plan`'s injector, reporting into every sink and running
+    /// `on_restart` at each restart instant. Rigs install it last, so a
+    /// plan that never fires leaves the already-spawned workload tasks'
+    /// scheduling untouched.
+    pub(crate) fn install(
+        &self,
+        sim: &mut Simulation,
+        plan: &FaultPlan,
+        on_restart: impl Fn(&Restart) + 'static,
+    ) {
+        install(
+            sim,
+            &self.cluster,
+            plan,
+            InjectorSinks {
+                registry: Some(self.registry.clone()),
+                trace: Some(self.trace.clone()),
+                on_restart: Some(Rc::new(on_restart)),
+                recorder: Some(self.recorder.clone()),
+            },
+        );
     }
 }
 
@@ -258,15 +317,8 @@ pub fn spawn_chaos_kv(
         cfg.server_threads > 0,
         "rig needs at least one server thread"
     );
-    let cluster = Cluster::new(sim, cfg.profile.clone(), 1 + cfg.client_machines);
-    let server_m = cluster.machine(0);
-    let registry = MetricsRegistry::new();
-    cluster.attach_metrics(&registry);
-    let trace = TraceLog::new(64 * 1024);
-    let spans = SpanRecorder::new(1024);
-    let recorder = FlightRecorder::new(64 * 1024);
-    let health = HealthHub::default();
-    cluster.attach_recorder(&recorder);
+    let sinks = RigSinks::new(sim, &cfg.profile, 1 + cfg.client_machines);
+    let server_m = sinks.cluster.machine(0);
 
     let partition_cap =
         (cfg.client_machines * cfg.keys_per_client * 2 / cfg.server_threads).max(64);
@@ -303,30 +355,18 @@ pub fn spawn_chaos_kv(
         (0..cfg.server_threads).map(|_| Vec::new()).collect();
 
     for c in 0..cfg.client_machines {
-        let client_m = cluster.machine(1 + c);
-        let thread = client_m.thread(format!("chaos-c{c}"));
+        let thread = sinks.cluster.machine(1 + c).thread(format!("chaos-c{c}"));
         // One connection per server thread: requests route to the
         // partition owner (EREW, as Jakiro does).
         let mut conns = Vec::with_capacity(cfg.server_threads);
         for (s, sconns) in server_conns.iter_mut().enumerate() {
-            let (cl, sc) = connect(
-                &client_m,
-                &server_m,
-                cluster.qp(1 + c, 0),
-                cluster.qp(0, 1 + c),
-                rig_rfp_cfg(
-                    &registry,
-                    &spans,
-                    &trace,
-                    &recorder,
-                    &health,
-                    &cfg.overload,
-                    &cfg.integrity,
-                    c * cfg.server_threads + s,
-                ),
+            let (cl, sc) = sinks.connect(
+                1 + c,
+                0,
+                &cfg.overload,
+                &cfg.integrity,
+                c * cfg.server_threads + s,
             );
-            cl.set_reconnect(cluster.qp_factory(1 + c, 0));
-            let sc = Rc::new(sc);
             state.server_conns.borrow_mut().push(Rc::clone(&sc));
             sconns.push(sc);
             conns.push(Rc::new(cl));
@@ -334,7 +374,7 @@ pub fn spawn_chaos_kv(
 
         let ledger = Rc::clone(&state.ledgers[c]);
         let st = Rc::clone(&state);
-        let reg = registry.clone();
+        let reg = sinks.registry.clone();
         let recovery = RecoveryConfig {
             seed: derive_seed(cfg.seed, 0xC0DE + c as u64),
             ..cfg.recovery.clone()
@@ -442,8 +482,8 @@ pub fn spawn_chaos_kv(
         let reactor = Reactor::new(
             ReactorConfig {
                 steal: true,
-                registry: Some(registry.clone()),
-                recorder: Some(recorder.clone()),
+                registry: Some(sinks.registry.clone()),
+                recorder: Some(sinks.recorder.clone()),
                 ..ReactorConfig::default()
             },
             specs,
@@ -468,34 +508,17 @@ pub fn spawn_chaos_kv(
         None
     };
 
-    // The injector goes in last so a plan that never fires leaves the
-    // already-spawned workload tasks' scheduling untouched.
     if let Some(plan) = plan {
         let hook_state = Rc::clone(&state);
-        install(
-            sim,
-            &cluster,
-            plan,
-            InjectorSinks {
-                registry: Some(registry.clone()),
-                trace: Some(trace.clone()),
-                on_restart: Some(Rc::new(move |restart: &Restart| {
-                    if restart.machine == 0 {
-                        hook_state.on_server_restart(restart);
-                    }
-                })),
-                recorder: Some(recorder.clone()),
-            },
-        );
+        sinks.install(sim, plan, move |restart: &Restart| {
+            if restart.machine == 0 {
+                hook_state.on_server_restart(restart);
+            }
+        });
     }
 
     ChaosKv {
-        cluster,
-        registry,
-        trace,
-        spans,
-        recorder,
-        health,
+        sinks,
         state,
         reactor,
     }

@@ -16,16 +16,14 @@
 //! stale data after a cold wipe) — see `cargo run -p rfp-bench --bin
 //! chaos` for the scenario sweep.
 
-mod failover;
-mod grayfail;
 mod harness;
 mod inject;
 mod plan;
+mod replicated;
 
-pub use failover::{
-    spawn_failover_kv, FailoverChaosConfig, FailoverKv, FailoverState, PROMOTED_EPOCH,
-};
-pub use grayfail::{spawn_grayfail_kv, GrayChaosConfig, GrayKv, GrayState};
-pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState};
+pub use harness::{spawn_chaos_kv, ChaosConfig, ChaosKv, ChaosState, RigSinks};
 pub use inject::{install, InjectorSinks, Restart, RestartHook};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
+pub use replicated::{
+    spawn_replicated_kv, ReadScope, ReplicatedConfig, ReplicatedKv, ReplicatedState, PROMOTED_EPOCH,
+};

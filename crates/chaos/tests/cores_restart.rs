@@ -69,7 +69,7 @@ fn warm_restart_under_stealing_loses_no_acked_put() {
         );
     }
     assert_eq!(
-        rig.registry.snapshot().scalar("fault.crashes_warm"),
+        rig.sinks.registry.snapshot().scalar("fault.crashes_warm"),
         Some(1.0)
     );
 }

@@ -25,12 +25,13 @@ fn run_fingerprint(seed: u64, window: SimSpan, plan: Option<&FaultPlan>) -> (Vec
     let rig = spawn_chaos_kv(&mut sim, &cfg, plan);
     sim.run_for(window);
     let mut csv = Vec::new();
-    rig.registry
+    rig.sinks
+        .registry
         .snapshot()
         .write_csv(&mut csv)
         .expect("write csv to vec");
     let mut trace = Vec::new();
-    rig.trace.dump(&mut trace).expect("dump trace to vec");
+    rig.sinks.trace.dump(&mut trace).expect("dump trace to vec");
     assert!(
         rig.state.completed.get() > 0,
         "fingerprint run must do real work"

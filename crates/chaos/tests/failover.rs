@@ -1,24 +1,26 @@
-//! Failover rig end-to-end: crash and partition scenarios preserve the
-//! replication invariants and leave linearizable histories.
+//! The replicated rig's failover preset end-to-end: crash, partition
+//! and backup-restart scenarios preserve the replication invariants
+//! and leave linearizable histories.
 
-use rfp_chaos::{spawn_failover_kv, FailoverChaosConfig, FaultPlan};
+use rfp_chaos::{spawn_replicated_kv, FaultPlan, ReadScope, ReplicatedConfig};
+use rfp_kvstore::replica::AckPolicy;
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
 
 const FAULT_AT: SimTime = SimTime::from_nanos(40_000);
 const DETECT: SimSpan = SimSpan::micros(60);
 
-fn cfg(seed: u64) -> FailoverChaosConfig {
-    FailoverChaosConfig {
+fn cfg(seed: u64) -> ReplicatedConfig {
+    ReplicatedConfig {
         seed,
-        ..FailoverChaosConfig::default()
+        ..ReplicatedConfig::failover()
     }
 }
 
 #[test]
 fn healthy_run_finishes_with_clean_invariants() {
     let mut sim = Simulation::new(41);
-    let rig = spawn_failover_kv(&mut sim, &cfg(41), None, None);
+    let rig = spawn_replicated_kv(&mut sim, &cfg(41), None, None);
     sim.run_for(SimSpan::millis(30));
     let cfg = cfg(41);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -28,8 +30,8 @@ fn healthy_run_finishes_with_clean_invariants() {
     assert_eq!(rig.total_failovers(), 0);
     // Sync replication: everything acked is already on the backup.
     assert_eq!(
-        rig.primary_role.shipped_entries.get(),
-        rig.backup_role.applied.get()
+        rig.pair.primary_role.shipped_entries.get(),
+        rig.pair.backup_role.applied.get()
     );
     assert!(rig.state.max_ops_per_key() <= 128, "history over capacity");
     check_history(&rig.state.history()).expect("healthy history must linearize");
@@ -40,7 +42,7 @@ fn primary_crash_fails_over_without_losing_acked_writes() {
     let mut sim = Simulation::new(42);
     // Crash the primary permanently (downtime past the run window).
     let plan = FaultPlan::new(42).crash(FAULT_AT, SimSpan::millis(100), 0, true);
-    let rig = spawn_failover_kv(&mut sim, &cfg(42), Some(&plan), Some(FAULT_AT + DETECT));
+    let rig = spawn_replicated_kv(&mut sim, &cfg(42), Some(&plan), Some(FAULT_AT + DETECT));
     sim.run_for(SimSpan::millis(40));
     let cfg = cfg(42);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -62,7 +64,7 @@ fn partition_without_promotion_costs_availability_not_consistency() {
     let plan = FaultPlan::new(43)
         .partition(FAULT_AT, span, 2, 0)
         .partition(FAULT_AT, span, 0, 2);
-    let rig = spawn_failover_kv(&mut sim, &cfg(43), Some(&plan), None);
+    let rig = spawn_replicated_kv(&mut sim, &cfg(43), Some(&plan), None);
     sim.run_for(SimSpan::millis(40));
     let cfg = cfg(43);
     assert_eq!(rig.state.done_clients.get(), cfg.clients);
@@ -82,7 +84,7 @@ fn crash_runs_are_deterministic_per_seed() {
     let run = || {
         let mut sim = Simulation::new(44);
         let plan = FaultPlan::new(44).crash(FAULT_AT, SimSpan::millis(100), 0, true);
-        let rig = spawn_failover_kv(&mut sim, &cfg(44), Some(&plan), Some(FAULT_AT + DETECT));
+        let rig = spawn_replicated_kv(&mut sim, &cfg(44), Some(&plan), Some(FAULT_AT + DETECT));
         sim.run_for(SimSpan::millis(40));
         (
             rig.state.completed.get(),
@@ -93,4 +95,32 @@ fn crash_runs_are_deterministic_per_seed() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn backup_restart_loses_no_acked_write_under_roaming_reads() {
+    let mut sim = Simulation::new(45);
+    // A warm crash of the backup that restarts mid-workload: the
+    // restart hook must rebuild its client-facing connections and the
+    // replication link's receive end, while the primary keeps serving.
+    let plan = FaultPlan::new(45).crash(FAULT_AT, SimSpan::micros(200), 1, true);
+    let cfg = cfg(45);
+    assert_eq!(cfg.replication.ack, AckPolicy::Sync);
+    assert_eq!(cfg.reads, ReadScope::Roaming);
+    let rig = spawn_replicated_kv(&mut sim, &cfg, Some(&plan), None);
+    sim.run_for(SimSpan::millis(40));
+    assert_eq!(
+        rig.sinks.registry.snapshot().scalar("fault.crashes_warm"),
+        Some(1.0),
+        "the backup crash never fired"
+    );
+    assert_eq!(rig.state.done_clients.get(), cfg.clients);
+    assert_eq!(rig.state.lost_acked.get(), 0, "acked write lost");
+    assert_eq!(
+        rig.state.stale_reads.get(),
+        0,
+        "stale read across backup restart"
+    );
+    assert!(rig.state.max_ops_per_key() <= 128, "history over capacity");
+    check_history(&rig.state.history()).expect("backup-restart history must linearize");
 }

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 
-use rfp_chaos::{spawn_grayfail_kv, FaultPlan, GrayChaosConfig};
+use rfp_chaos::{spawn_replicated_kv, FaultPlan, ReplicatedConfig};
 use rfp_core::{FailoverConfig, GrayConfig, RetryBudgetConfig, ScorerConfig};
 use rfp_simnet::{SimSpan, SimTime, Simulation};
 use rfp_workload::check_history;
@@ -51,33 +51,34 @@ fn family_plan(family: usize, seed: u64, machine: usize) -> FaultPlan {
     }
 }
 
-fn small_cfg(seed: u64, gray: GrayConfig, hedged_reads: bool) -> GrayChaosConfig {
-    GrayChaosConfig {
+fn small_cfg(seed: u64, gray: GrayConfig, hedged_reads: bool) -> ReplicatedConfig {
+    ReplicatedConfig {
         clients: 2,
         keys_per_client: 4,
         ops_per_client: 300,
         hedged_reads,
         failover: FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..ReplicatedConfig::gray().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..ReplicatedConfig::gray()
     }
 }
 
 /// Runs the rig and returns `(metrics CSV, trace dump)`.
-fn run_fingerprint(cfg: &GrayChaosConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
+fn run_fingerprint(cfg: &ReplicatedConfig, plan: Option<&FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let mut sim = Simulation::new(cfg.seed);
-    let rig = spawn_grayfail_kv(&mut sim, cfg, plan);
+    let rig = spawn_replicated_kv(&mut sim, cfg, plan, None);
     sim.run_for(WINDOW);
     let mut csv = Vec::new();
-    rig.registry
+    rig.sinks
+        .registry
         .snapshot()
         .write_csv(&mut csv)
         .expect("write csv to vec");
     let mut trace = Vec::new();
-    rig.trace.dump(&mut trace).expect("dump trace to vec");
+    rig.sinks.trace.dump(&mut trace).expect("dump trace to vec");
     assert!(
         rig.state.completed.get() > 0,
         "fingerprint run must do real work"
@@ -100,7 +101,7 @@ proptest! {
         let cfg = small_cfg(seed, GrayConfig::all_on(), true);
         let plan = family_plan(family, seed, machine);
         let mut sim = Simulation::new(seed);
-        let rig = spawn_grayfail_kv(&mut sim, &cfg, Some(&plan));
+        let rig = spawn_replicated_kv(&mut sim, &cfg, Some(&plan), None);
         sim.run_for(WINDOW);
         let st = &rig.state;
         prop_assert_eq!(
@@ -111,7 +112,7 @@ proptest! {
             st.stale_reads.get(), 0,
             "family {} machine {}: a read ran backwards", family, machine
         );
-        let applied = rig.primary_role.applied_mutations.get();
+        let applied = rig.pair.primary_role.applied_mutations.get();
         // The strict apply ledger pins hedge/retry dedup: while the
         // server process lives, no issued PUT may execute twice. A
         // crash can legitimately re-execute the one request caught
@@ -197,7 +198,7 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
     let seed = 7;
     let mut gray = GrayConfig::all_on();
     gray.probe_every = 8; // fast recovery detection for the test
-    let cfg = GrayChaosConfig {
+    let cfg = ReplicatedConfig {
         clients: 2,
         // 2_000 ops over 32 keys stays under the linearizability
         // checker's 128-op-per-key search cap.
@@ -206,10 +207,10 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         hedged_reads: true,
         failover: FailoverConfig {
             gray,
-            ..GrayChaosConfig::default().failover
+            ..ReplicatedConfig::gray().failover
         },
         seed,
-        ..GrayChaosConfig::default()
+        ..ReplicatedConfig::gray()
     };
     // The fault heals at 3ms, well before the 2_000-op workload
     // drains, so plenty of post-heal traffic reaches the probes.
@@ -220,14 +221,14 @@ fn demoted_replica_is_restored_after_the_fault_heals() {
         30_000,
     );
     let mut sim = Simulation::new(seed);
-    let rig = spawn_grayfail_kv(&mut sim, &cfg, Some(&plan));
+    let rig = spawn_replicated_kv(&mut sim, &cfg, Some(&plan), None);
     sim.run_for(SimSpan::millis(20));
     assert!(
-        rig.registry.counter("routing.demote").get() >= 1,
+        rig.sinks.registry.counter("routing.demote").get() >= 1,
         "the fault window must demote the primary"
     );
     assert!(
-        rig.registry.counter("routing.restore").get() >= 1,
+        rig.sinks.registry.counter("routing.restore").get() >= 1,
         "probes must restore the healed primary"
     );
     assert!(

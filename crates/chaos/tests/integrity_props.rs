@@ -82,7 +82,7 @@ fn heavy_windows_fire_and_are_absorbed() {
     assert!(rig.state.completed.get() > 0);
     assert_eq!(rig.state.lost_acked.get(), 0);
     assert_eq!(rig.state.stale_reads.get(), 0);
-    let names = rig.registry.names();
+    let names = rig.sinks.registry.names();
     assert!(
         names.iter().any(|n| n == "fault.torn_dma"),
         "torn-DMA window never fired"
@@ -93,7 +93,7 @@ fn heavy_windows_fire_and_are_absorbed() {
     );
     assert!(
         names.iter().any(|n| n == "fetch.integrity_retries")
-            && rig.registry.counter("fetch.integrity_retries").get() > 0,
+            && rig.sinks.registry.counter("fetch.integrity_retries").get() > 0,
         "no corrupt fetch was ever discarded under 30% fault windows"
     );
 }

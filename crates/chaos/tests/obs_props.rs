@@ -36,11 +36,14 @@ fn run_observed(seed: u64, plan: Option<&FaultPlan>) -> (Vec<u8>, String, rfp_ch
     let rig = spawn_chaos_kv(&mut sim, &small_cfg(seed), plan);
     sim.run_for(WINDOW);
     let mut dump = Vec::new();
-    rig.recorder.dump(&mut dump).expect("dump recorder to vec");
+    rig.sinks
+        .recorder
+        .dump(&mut dump)
+        .expect("dump recorder to vec");
     let detector = AnomalyDetector::new(AnomalyConfig::default());
     let anomalies = format!(
         "{:?}",
-        detector.scan(&rig.health.report(sim.handle().now()))
+        detector.scan(&rig.sinks.health.report(sim.handle().now()))
     );
     (dump, anomalies, rig)
 }
@@ -80,12 +83,13 @@ proptest! {
         let (plan, kind) = plan_for(class, seed);
         let (_, _, rig) = run_observed(seed, Some(&plan));
         prop_assert!(
-            rig.recorder.kind_count(kind) >= 1,
+            rig.sinks.recorder.kind_count(kind) >= 1,
             "no {} root event: {:?}",
             kind,
-            rig.recorder.kind_counts()
+            rig.sinks.recorder.kind_counts()
         );
         let roots: Vec<_> = rig
+            .sinks
             .recorder
             .snapshot()
             .into_iter()
@@ -99,6 +103,7 @@ proptest! {
         // have appended reaction events after the root.
         if kind == "chaos.crash" {
             let reacted = rig
+                .sinks
                 .recorder
                 .kind_counts()
                 .iter()
@@ -106,7 +111,7 @@ proptest! {
             prop_assert!(
                 reacted,
                 "crash provoked no recovery.* reaction: {:?}",
-                rig.recorder.kind_counts()
+                rig.sinks.recorder.kind_counts()
             );
         }
     }
@@ -118,13 +123,14 @@ proptest! {
         let (_, anomalies, rig) = run_observed(seed, None);
         prop_assert_eq!(anomalies, "[]");
         let noisy: Vec<_> = rig
+            .sinks
             .recorder
             .snapshot()
             .into_iter()
             .filter(|e| e.severity >= Severity::Warn)
             .collect();
         prop_assert!(noisy.is_empty(), "clean run raised {noisy:?}");
-        prop_assert_eq!(rig.recorder.len(), 0, "clean run filled the flight ring");
+        prop_assert_eq!(rig.sinks.recorder.len(), 0, "clean run filled the flight ring");
     }
 
     /// Same seed, same plan ⇒ bit-identical recorder dump and anomaly

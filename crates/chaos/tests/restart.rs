@@ -55,7 +55,7 @@ fn warm_restart_loses_no_acked_put() {
     );
     // The injector accounted the fault it delivered.
     assert_eq!(
-        rig.registry.snapshot().scalar("fault.crashes_warm"),
+        rig.sinks.registry.snapshot().scalar("fault.crashes_warm"),
         Some(1.0)
     );
 }
@@ -88,7 +88,7 @@ fn cold_restart_surfaces_errors_not_stale_data() {
         "a pre-crash value surfaced after the cold wipe"
     );
     assert_eq!(
-        rig.registry.snapshot().scalar("fault.crashes_cold"),
+        rig.sinks.registry.snapshot().scalar("fault.crashes_cold"),
         Some(1.0)
     );
 }
@@ -104,7 +104,7 @@ fn qp_error_recovers_via_reconnect() {
     let before = rig.state.completed.get();
     sim.run_for(SimSpan::millis(4));
 
-    let snap = rig.registry.snapshot();
+    let snap = rig.sinks.registry.snapshot();
     assert_eq!(snap.scalar("fault.qp_errors"), Some(1.0));
     assert!(
         snap.scalar("recovery.reconnects").unwrap_or(0.0) >= 1.0,

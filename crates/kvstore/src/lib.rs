@@ -36,7 +36,8 @@ pub use lru::LruCache;
 pub use mcd::{McdCosts, McdStore, McdThreadView};
 pub use proto::{KvRequest, KvResponse, ProtoError};
 pub use replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
+    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicaPair,
+    ReplicationConfig,
 };
 pub use sharded::{spawn_sharded_jakiro, ShardedSystem};
 pub use systems::{

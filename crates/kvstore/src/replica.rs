@@ -42,9 +42,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use rfp_core::{RecoveryConfig, RespStatus, RfpClient, RfpServerConn};
-use rfp_rnic::ThreadCtx;
-use rfp_simnet::{RetryPolicy, SimSpan};
+use rfp_core::{connect, RecoveryConfig, RespStatus, RfpClient, RfpConfig, RfpServerConn};
+use rfp_rnic::{Cluster, ThreadCtx};
+use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
 
 use crate::bucket::Partition;
 use crate::proto::{KvRequest, ProtoError};
@@ -206,6 +206,104 @@ impl BackupRole {
             conn.set_epoch(epoch);
         }
         self.promoted.set(true);
+    }
+}
+
+/// A primary/backup pair on machines 0 (primary) and 1 (backup) of a
+/// cluster: both stores and roles, the dedicated replication link, and
+/// the server ends of the client links each replica serves.
+///
+/// Building is wiring, in order: [`connect`](ReplicaPair::connect)
+/// links the replication channel, the caller connects its client links
+/// and [`attach`](ReplicaPair::attach)es their server ends, and
+/// [`spawn`](ReplicaPair::spawn) starts both serve loops — after the
+/// caller's client tasks.
+pub struct ReplicaPair {
+    /// The primary's store.
+    pub primary_part: Rc<RefCell<Partition>>,
+    /// The backup's store.
+    pub backup_part: Rc<RefCell<Partition>>,
+    /// Primary-side replication bookkeeping (and the apply ledger).
+    pub primary_role: Rc<PrimaryRole>,
+    /// Backup-side replication bookkeeping (and the refusal ledger).
+    pub backup_role: Rc<BackupRole>,
+    /// Client links the primary serves, in attach order.
+    pub primary_conns: Vec<Rc<RfpServerConn>>,
+    /// Client links the backup serves once promoted (or in standby,
+    /// with [`BackupRole::standby_reads`] on), in attach order.
+    pub backup_conns: Vec<Rc<RfpServerConn>>,
+    /// The backup's end of the replication link.
+    pub repl_conn: Rc<RfpServerConn>,
+    ship: Rc<RfpClient>,
+}
+
+impl ReplicaPair {
+    /// Creates both stores (`partition_cap` buckets each) and connects
+    /// the replication link, primary -> backup. Plain RFP: the log
+    /// channel is deliberately outside the client-facing epoch fence
+    /// (see [`BackupRole::promote`]).
+    pub fn connect(cluster: &Cluster, partition_cap: usize) -> Self {
+        let (ship, repl_conn) = connect(
+            &cluster.machine(0),
+            &cluster.machine(1),
+            cluster.qp(0, 1),
+            cluster.qp(1, 0),
+            RfpConfig {
+                enable_mode_switch: false,
+                ..RfpConfig::default()
+            },
+        );
+        ship.set_reconnect(cluster.qp_factory(0, 1));
+        ReplicaPair {
+            primary_part: Rc::new(RefCell::new(Partition::new(partition_cap))),
+            backup_part: Rc::new(RefCell::new(Partition::new(partition_cap))),
+            primary_role: Rc::new(PrimaryRole::default()),
+            backup_role: Rc::new(BackupRole::default()),
+            primary_conns: Vec::new(),
+            backup_conns: Vec::new(),
+            repl_conn: Rc::new(repl_conn),
+            ship: Rc::new(ship),
+        }
+    }
+
+    /// Hands a client link's server end to replica `0` (the primary)
+    /// or `1` (the backup).
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other replica index.
+    pub fn attach(&mut self, replica: usize, conn: Rc<RfpServerConn>) {
+        match replica {
+            0 => self.primary_conns.push(conn),
+            1 => self.backup_conns.push(conn),
+            _ => panic!("replica {replica} outside the pair"),
+        }
+    }
+
+    /// Spawns the primary's serve loop (shipping per `cfg`) and the
+    /// backup's, both spinning 100 ns per empty scan.
+    ///
+    /// # Panics
+    ///
+    /// The primary's loop panics if no client link was attached to it.
+    pub fn spawn(&self, sim: &mut Simulation, cluster: &Cluster, cfg: ReplicationConfig) {
+        sim.spawn(primary_serve_loop(
+            cluster.machine(0).thread("primary"),
+            self.primary_conns.clone(),
+            Rc::clone(&self.primary_part),
+            Rc::clone(&self.ship),
+            cfg,
+            Rc::clone(&self.primary_role),
+            SimSpan::nanos(100),
+        ));
+        sim.spawn(backup_serve_loop(
+            cluster.machine(1).thread("backup"),
+            Rc::clone(&self.repl_conn),
+            self.backup_conns.clone(),
+            Rc::clone(&self.backup_part),
+            Rc::clone(&self.backup_role),
+            SimSpan::nanos(100),
+        ));
     }
 }
 
