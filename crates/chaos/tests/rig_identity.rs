@@ -3,8 +3,8 @@
 //! `spawn_replicated_kv` folds the failover rig and the gray-failure
 //! rig into one. The contract is that each preset replays its old rig
 //! *event for event*. This test pins that the way `reactor_identity`
-//! pins the reactor: frozen copies of both pre-merge rigs (below, with
-//! only their `crate::` paths rewritten) run against the merged rig
+//! pins the reactor: frozen copies of both pre-merge rigs (below) run
+//! against the merged rig
 //! under randomized knobs — preset, seed, client count, ack policy,
 //! gray mode, hedged reads, and one fault of every family aimed at the
 //! primary or the backup — and every observable surface must compare
@@ -12,6 +12,12 @@
 //! the health report, span export, the operation history and read
 //! latencies, every state, role and router counter, both stores, and
 //! every machine's NIC counters.
+//!
+//! The frozen copies differ from the old source only in their `crate::`
+//! paths and in building the primary/backup pair through
+//! `ReplicaPair` (lines marked `PAIR`): the serve loops are private to
+//! `rfp-kvstore`, and the builder creates the stores, roles and ship
+//! link and spawns the loops in the order these rigs did by hand.
 //!
 //! One difference is intended and patched into the frozen failover
 //! copy, marked `INTENDED DIFFERENCE`: the merged rig gives the
@@ -88,11 +94,9 @@ mod frozen_failover {
 
     use rfp_core::{
         connect, FailoverConfig, IntegrityConfig, OverloadConfig, ReplicaClient, RfpClient,
-        RfpConfig, RfpServerConn,
+        RfpServerConn,
     };
-    use rfp_kvstore::replica::{
-        backup_serve_loop, primary_serve_loop, BackupRole, PrimaryRole, ReplicationConfig,
-    };
+    use rfp_kvstore::replica::{BackupRole, PrimaryRole, ReplicaPair, ReplicationConfig};
     use rfp_kvstore::{KvRequest, KvResponse, Partition};
     use rfp_rnic::{Cluster, ClusterProfile};
     use rfp_simnet::{
@@ -280,10 +284,12 @@ mod frozen_failover {
         cluster.attach_recorder(&recorder);
 
         let partition_cap = (cfg.clients * cfg.keys_per_client * 2).max(64);
-        let primary_part = Rc::new(RefCell::new(Partition::new(partition_cap)));
-        let backup_part = Rc::new(RefCell::new(Partition::new(partition_cap)));
-        let primary_role = Rc::new(PrimaryRole::default());
-        let backup_role = Rc::new(BackupRole::default());
+        // PAIR: built through `ReplicaPair` (see the header).
+        let mut pair = ReplicaPair::connect(&cluster, partition_cap);
+        let primary_part = Rc::clone(&pair.primary_part);
+        let backup_part = Rc::clone(&pair.backup_part);
+        let primary_role = Rc::clone(&pair.primary_role);
+        let backup_role = Rc::clone(&pair.backup_role);
 
         let state = Rc::new(FailoverState {
             completed: Cell::new(0),
@@ -300,23 +306,7 @@ mod frozen_failover {
             recovering: (0..cfg.clients).map(|_| Cell::new(None)).collect(),
         });
 
-        // The dedicated replication link, primary -> backup. Plain RFP: the
-        // log channel is deliberately outside the client-facing epoch fence
-        // (see the `replica` module docs).
-        let (ship, repl_conn) = connect(
-            &primary_m,
-            &backup_m,
-            cluster.qp(0, 1),
-            cluster.qp(1, 0),
-            RfpConfig {
-                enable_mode_switch: false,
-                ..RfpConfig::default()
-            },
-        );
-        ship.set_reconnect(cluster.qp_factory(0, 1));
-        // INTENDED DIFFERENCE: the restart hook needs the replication
-        // link's receive end.
-        let repl_conn = Rc::new(repl_conn);
+        let repl_conn = Rc::clone(&pair.repl_conn);
 
         let mut primary_conns: Vec<Rc<RfpServerConn>> = Vec::new();
         let mut backup_conns: Vec<Rc<RfpServerConn>> = Vec::new();
@@ -472,24 +462,10 @@ mod frozen_failover {
             });
         }
 
-        // The primary and its standby.
-        sim.spawn(primary_serve_loop(
-            primary_m.thread("failover-primary"),
-            primary_conns.clone(),
-            Rc::clone(&primary_part),
-            Rc::new(ship),
-            cfg.replication.clone(),
-            Rc::clone(&primary_role),
-            SimSpan::nanos(100),
-        ));
-        sim.spawn(backup_serve_loop(
-            backup_m.thread("failover-backup"),
-            Rc::clone(&repl_conn),
-            backup_conns.clone(),
-            Rc::clone(&backup_part),
-            Rc::clone(&backup_role),
-            SimSpan::nanos(100),
-        ));
+        // PAIR: the serve loops start where this rig spawned them.
+        pair.primary_conns = primary_conns.clone();
+        pair.backup_conns = backup_conns.clone();
+        pair.spawn(sim, &cluster, cfg.replication.clone());
 
         // The failure detector: promote the backup into the next epoch at a
         // fixed (deterministic) instant after the crash.
@@ -598,11 +574,9 @@ mod frozen_gray {
 
     use rfp_core::{
         connect, FailoverConfig, IntegrityConfig, OverloadConfig, ReplicaClient, RfpClient,
-        RfpConfig, RfpServerConn,
+        RfpServerConn,
     };
-    use rfp_kvstore::replica::{
-        backup_serve_loop, primary_serve_loop, BackupRole, PrimaryRole, ReplicationConfig,
-    };
+    use rfp_kvstore::replica::{BackupRole, PrimaryRole, ReplicaPair, ReplicationConfig};
     use rfp_kvstore::{KvRequest, KvResponse, Partition};
     use rfp_rnic::{Cluster, ClusterProfile};
     use rfp_simnet::{
@@ -823,10 +797,12 @@ mod frozen_gray {
         cluster.attach_recorder(&recorder);
 
         let partition_cap = (cfg.clients * cfg.keys_per_client * 2).max(64);
-        let primary_part = Rc::new(RefCell::new(Partition::new(partition_cap)));
-        let backup_part = Rc::new(RefCell::new(Partition::new(partition_cap)));
-        let primary_role = Rc::new(PrimaryRole::default());
-        let backup_role = Rc::new(BackupRole::default());
+        // PAIR: built through `ReplicaPair` (see the header).
+        let mut pair = ReplicaPair::connect(&cluster, partition_cap);
+        let primary_part = Rc::clone(&pair.primary_part);
+        let backup_part = Rc::clone(&pair.backup_part);
+        let primary_role = Rc::clone(&pair.primary_role);
+        let backup_role = Rc::clone(&pair.backup_role);
         // Standby reads power scored routing and hedging; they stay off in
         // the baseline cell so the disabled run is byte-identical to the
         // pre-gray rig.
@@ -847,18 +823,7 @@ mod frozen_gray {
             read_lats: RefCell::new(Vec::new()),
         });
 
-        let (ship, repl_conn) = connect(
-            &primary_m,
-            &backup_m,
-            cluster.qp(0, 1),
-            cluster.qp(1, 0),
-            RfpConfig {
-                enable_mode_switch: false,
-                ..RfpConfig::default()
-            },
-        );
-        ship.set_reconnect(cluster.qp_factory(0, 1));
-        let repl_conn = Rc::new(repl_conn);
+        let repl_conn = Rc::clone(&pair.repl_conn);
 
         let mut primary_conns: Vec<Rc<RfpServerConn>> = Vec::new();
         let mut backup_conns: Vec<Rc<RfpServerConn>> = Vec::new();
@@ -1015,23 +980,10 @@ mod frozen_gray {
             });
         }
 
-        sim.spawn(primary_serve_loop(
-            primary_m.thread("gray-primary"),
-            primary_conns.clone(),
-            Rc::clone(&primary_part),
-            Rc::new(ship),
-            cfg.replication.clone(),
-            Rc::clone(&primary_role),
-            SimSpan::nanos(100),
-        ));
-        sim.spawn(backup_serve_loop(
-            backup_m.thread("gray-backup"),
-            Rc::clone(&repl_conn),
-            backup_conns.clone(),
-            Rc::clone(&backup_part),
-            Rc::clone(&backup_role),
-            SimSpan::nanos(100),
-        ));
+        // PAIR: the serve loops start where this rig spawned them.
+        pair.primary_conns = primary_conns.clone();
+        pair.backup_conns = backup_conns.clone();
+        pair.spawn(sim, &cluster, cfg.replication.clone());
 
         if let Some(plan) = plan {
             let hook_primary = primary_conns.clone();

@@ -35,10 +35,7 @@ pub use hopscotch::{farm_get, FarmGet, FarmStore, FarmView, HopscotchError, NEIG
 pub use lru::LruCache;
 pub use mcd::{McdCosts, McdStore, McdThreadView};
 pub use proto::{KvRequest, KvResponse, ProtoError};
-pub use replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicaPair,
-    ReplicationConfig,
-};
+pub use replica::{AckPolicy, BackupRole, PrimaryRole, ReplicaPair, ReplicationConfig};
 pub use sharded::{spawn_sharded_jakiro, ShardedSystem};
 pub use systems::{
     spawn_farm, spawn_fleet_kv, spawn_herd, spawn_jakiro, spawn_jakiro_shared, spawn_memcached,

@@ -351,7 +351,7 @@ async fn ship_log(
 /// With `cfg.enabled == false` this is the plain serve loop: requests
 /// are applied and answered in place and `ship`/`role` are never
 /// touched.
-pub async fn primary_serve_loop(
+async fn primary_serve_loop(
     thread: Rc<ThreadCtx>,
     conns: Vec<Rc<RfpServerConn>>,
     partition: Rc<RefCell<Partition>>,
@@ -440,7 +440,7 @@ pub async fn primary_serve_loop(
 /// with `Busy` without executing them. After [`BackupRole::promote`]
 /// it flips: the log channel is ignored and the client connections are
 /// served fully from the replicated partition.
-pub async fn backup_serve_loop(
+async fn backup_serve_loop(
     thread: Rc<ThreadCtx>,
     repl_conn: Rc<RfpServerConn>,
     client_conns: Vec<Rc<RfpServerConn>>,

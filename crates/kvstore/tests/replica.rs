@@ -1,16 +1,12 @@
 //! Primary/backup replication end-to-end: sync log shipping, epoch
 //! promotion, and failover through the replica router.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
-use rfp_core::{
-    connect, FailoverConfig, RecoveryConfig, ReplicaClient, RfpClient, RfpConfig, RfpServerConn,
-};
-use rfp_kvstore::replica::{
-    backup_serve_loop, primary_serve_loop, AckPolicy, BackupRole, PrimaryRole, ReplicationConfig,
-};
-use rfp_kvstore::{KvRequest, KvResponse, Partition};
+use rfp_core::{connect, FailoverConfig, RecoveryConfig, ReplicaClient, RfpClient, RfpConfig};
+use rfp_kvstore::replica::{AckPolicy, ReplicaPair, ReplicationConfig};
+use rfp_kvstore::{KvRequest, KvResponse};
 use rfp_rnic::{Cluster, ClusterProfile, ThreadCtx};
 use rfp_simnet::{RetryPolicy, SimSpan, Simulation};
 
@@ -20,11 +16,7 @@ struct Rig {
     cluster: Cluster,
     router: Rc<ReplicaClient>,
     client_thread: Rc<ThreadCtx>,
-    primary_part: Rc<RefCell<Partition>>,
-    backup_part: Rc<RefCell<Partition>>,
-    primary_role: Rc<PrimaryRole>,
-    backup_role: Rc<BackupRole>,
-    backup_client_conns: Vec<Rc<RfpServerConn>>,
+    pair: ReplicaPair,
 }
 
 fn plain_cfg() -> RfpConfig {
@@ -45,68 +37,33 @@ fn short_recovery(seed: u64) -> RecoveryConfig {
 fn rig(ack: AckPolicy) -> Rig {
     let mut sim = Simulation::new(77);
     let cluster = Cluster::new(&mut sim, ClusterProfile::paper_testbed(), 3);
-    let (primary_m, backup_m, client_m) =
-        (cluster.machine(0), cluster.machine(1), cluster.machine(2));
-
-    let primary_part = Rc::new(RefCell::new(Partition::new(256)));
-    let backup_part = Rc::new(RefCell::new(Partition::new(256)));
-    let primary_role = Rc::new(PrimaryRole::default());
-    let backup_role = Rc::new(BackupRole::default());
-
-    // The dedicated replication link, primary -> backup.
-    let (ship, repl_conn) = connect(
-        &primary_m,
-        &backup_m,
-        cluster.qp(0, 1),
-        cluster.qp(1, 0),
-        plain_cfg(),
-    );
-    ship.set_reconnect(cluster.qp_factory(0, 1));
+    let mut pair = ReplicaPair::connect(&cluster, 256);
 
     // Client links to both replicas.
-    let mut replicas: Vec<Rc<RfpClient>> = Vec::new();
-    let (cl_p, prim_conn) = connect(
-        &client_m,
-        &primary_m,
-        cluster.qp(2, 0),
-        cluster.qp(0, 2),
-        plain_cfg(),
-    );
-    cl_p.set_reconnect(cluster.qp_factory(2, 0));
-    replicas.push(Rc::new(cl_p));
-    let (cl_b, backup_conn) = connect(
-        &client_m,
-        &backup_m,
-        cluster.qp(2, 1),
-        cluster.qp(1, 2),
-        plain_cfg(),
-    );
-    cl_b.set_reconnect(cluster.qp_factory(2, 1));
-    replicas.push(Rc::new(cl_b));
-    let backup_client_conns = vec![Rc::new(backup_conn)];
-
-    sim.spawn(primary_serve_loop(
-        primary_m.thread("primary"),
-        vec![Rc::new(prim_conn)],
-        Rc::clone(&primary_part),
-        Rc::new(ship),
+    let replicas: Vec<Rc<RfpClient>> = (0..2)
+        .map(|replica| {
+            let (cl, sc) = connect(
+                &cluster.machine(2),
+                &cluster.machine(replica),
+                cluster.qp(2, replica),
+                cluster.qp(replica, 2),
+                plain_cfg(),
+            );
+            cl.set_reconnect(cluster.qp_factory(2, replica));
+            pair.attach(replica, Rc::new(sc));
+            Rc::new(cl)
+        })
+        .collect();
+    pair.spawn(
+        &mut sim,
+        &cluster,
         ReplicationConfig {
             enabled: true,
             ack,
             batch: 4,
             recovery: short_recovery(0xA11),
         },
-        Rc::clone(&primary_role),
-        SimSpan::nanos(100),
-    ));
-    sim.spawn(backup_serve_loop(
-        backup_m.thread("backup"),
-        Rc::new(repl_conn),
-        backup_client_conns.clone(),
-        Rc::clone(&backup_part),
-        Rc::clone(&backup_role),
-        SimSpan::nanos(100),
-    ));
+    );
 
     let router = Rc::new(ReplicaClient::new(
         replicas,
@@ -117,15 +74,11 @@ fn rig(ack: AckPolicy) -> Rig {
         },
     ));
     Rig {
-        client_thread: client_m.thread("client"),
+        client_thread: cluster.machine(2).thread("client"),
         sim,
         cluster,
         router,
-        primary_part,
-        backup_part,
-        primary_role,
-        backup_role,
-        backup_client_conns,
+        pair,
     }
 }
 
@@ -153,14 +106,14 @@ fn sync_replication_ships_every_put() {
     });
     r.sim.run_for(SimSpan::millis(10));
     assert_eq!(done.get(), 10);
-    assert_eq!(r.primary_role.shipped_entries.get(), 10);
-    assert_eq!(r.backup_role.applied.get(), 10);
-    assert!(!r.primary_role.solo.get());
+    assert_eq!(r.pair.primary_role.shipped_entries.get(), 10);
+    assert_eq!(r.pair.backup_role.applied.get(), 10);
+    assert!(!r.pair.primary_role.solo.get());
     // Every acked PUT is already on the backup — the sync invariant.
     for i in 0..10u32 {
         let key = format!("k{i}").into_bytes();
         assert_eq!(
-            r.backup_part.borrow_mut().get(&key),
+            r.pair.backup_part.borrow_mut().get(&key),
             Some(format!("v{i}").as_bytes()),
             "k{i} missing on backup"
         );
@@ -173,8 +126,8 @@ fn primary_crash_promotes_backup_with_replicated_data() {
     let router = Rc::clone(&r.router);
     let t = Rc::clone(&r.client_thread);
     let cluster_primary = r.cluster.machine(0);
-    let backup_role = Rc::clone(&r.backup_role);
-    let backup_conns = r.backup_client_conns.clone();
+    let backup_role = Rc::clone(&r.pair.backup_role);
+    let backup_conns = r.pair.backup_conns.clone();
     let phase = Rc::new(Cell::new(0u32));
     let ph = Rc::clone(&phase);
     r.sim.spawn(async move {
@@ -212,10 +165,13 @@ fn primary_crash_promotes_backup_with_replicated_data() {
     assert_eq!(r.router.known_epoch(), 1);
     // The post-failover write landed on the backup, not the primary.
     assert_eq!(
-        r.backup_part.borrow_mut().get(b"k99".as_slice()),
+        r.pair.backup_part.borrow_mut().get(b"k99".as_slice()),
         Some(b"v99".as_slice())
     );
-    assert_eq!(r.primary_part.borrow_mut().get(b"k99".as_slice()), None);
+    assert_eq!(
+        r.pair.primary_part.borrow_mut().get(b"k99".as_slice()),
+        None
+    );
 }
 
 #[test]
@@ -240,11 +196,14 @@ fn backup_crash_demotes_primary_to_solo() {
     });
     r.sim.run_for(SimSpan::millis(50));
     assert_eq!(done.get(), 1);
-    assert!(r.primary_role.solo.get());
-    assert_eq!(r.primary_role.shipped_entries.get(), 3);
+    assert!(r.pair.primary_role.solo.get());
+    assert_eq!(r.pair.primary_role.shipped_entries.get(), 3);
     for i in 0..6u32 {
         let key = format!("k{i}").into_bytes();
-        assert!(r.primary_part.borrow_mut().get(&key).is_some(), "k{i} lost");
+        assert!(
+            r.pair.primary_part.borrow_mut().get(&key).is_some(),
+            "k{i} lost"
+        );
     }
 }
 
@@ -264,6 +223,6 @@ fn async_ack_does_not_hold_responses() {
     r.sim.run_for(SimSpan::millis(10));
     assert_eq!(done.get(), 8);
     // The log still ships (at scan end), just off the ack path.
-    assert_eq!(r.primary_role.shipped_entries.get(), 8);
-    assert_eq!(r.backup_role.applied.get(), 8);
+    assert_eq!(r.pair.primary_role.shipped_entries.get(), 8);
+    assert_eq!(r.pair.backup_role.applied.get(), 8);
 }
