@@ -64,7 +64,7 @@ use rfp_core::{
 use rfp_kvstore::replica::{ReplicaPair, ReplicationConfig};
 use rfp_kvstore::{KvRequest, KvResponse};
 use rfp_rnic::ClusterProfile;
-use rfp_simnet::{derive_seed, RetryPolicy, SimSpan, SimTime, Simulation};
+use rfp_simnet::{derive_seed, Histogram, RetryPolicy, SimSpan, SimTime, Simulation};
 use rfp_workload::{HistEntry, RegOp};
 
 use crate::harness::RigSinks;
@@ -221,6 +221,25 @@ pub struct ReplicatedState {
 }
 
 impl ReplicatedState {
+    fn new(clients: usize) -> Self {
+        ReplicatedState {
+            completed: Cell::new(0),
+            acked_puts: Cell::new(0),
+            issued_puts: Cell::new(0),
+            failed_calls: Cell::new(0),
+            lost_acked: Cell::new(0),
+            stale_reads: Cell::new(0),
+            not_found: Cell::new(0),
+            done_clients: Cell::new(0),
+            promoted_at: Cell::new(None),
+            acked: RefCell::new(HashMap::new()),
+            observed: RefCell::new(HashMap::new()),
+            history: RefCell::new(Vec::new()),
+            recovering: (0..clients).map(|_| Cell::new(None)).collect(),
+            read_lats: RefCell::new(Vec::new()),
+        }
+    }
+
     /// The recorded history (for [`rfp_workload::check_history`]).
     pub fn history(&self) -> Vec<HistEntry> {
         self.history.borrow().clone()
@@ -238,15 +257,18 @@ impl ReplicatedState {
             .collect()
     }
 
-    /// p99 read latency (ns) over GETs started at or after `from`;
-    /// `None` with fewer than 10 samples.
+    /// Nearest-rank p99 read latency (ns) over GETs started at or after
+    /// `from`; `None` with fewer than 10 samples.
     pub fn read_p99_since(&self, from: SimTime) -> Option<u64> {
-        let mut lats = self.read_lats_since(from);
+        let lats = self.read_lats_since(from);
         if lats.len() < 10 {
             return None;
         }
-        lats.sort_unstable();
-        Some(lats[(lats.len() * 99) / 100 - 1])
+        let hist = Histogram::new();
+        for lat in lats {
+            hist.record(SimSpan::nanos(lat));
+        }
+        hist.percentile(99.0).map(SimSpan::as_nanos)
     }
 
     /// Largest number of operations landed on any single key.
@@ -341,22 +363,7 @@ pub fn spawn_replicated_kv(
         .standby_reads
         .set(cfg.failover.gray.enabled && cfg.reads == ReadScope::Own);
 
-    let state = Rc::new(ReplicatedState {
-        completed: Cell::new(0),
-        acked_puts: Cell::new(0),
-        issued_puts: Cell::new(0),
-        failed_calls: Cell::new(0),
-        lost_acked: Cell::new(0),
-        stale_reads: Cell::new(0),
-        not_found: Cell::new(0),
-        done_clients: Cell::new(0),
-        promoted_at: Cell::new(None),
-        acked: RefCell::new(HashMap::new()),
-        observed: RefCell::new(HashMap::new()),
-        history: RefCell::new(Vec::new()),
-        recovering: (0..cfg.clients).map(|_| Cell::new(None)).collect(),
-        read_lats: RefCell::new(Vec::new()),
-    });
+    let state = Rc::new(ReplicatedState::new(cfg.clients));
 
     let mut routers: Vec<Rc<ReplicaClient>> = Vec::new();
     let (overload, integrity) = (OverloadConfig::default(), IntegrityConfig::default());
@@ -571,5 +578,23 @@ pub fn spawn_replicated_kv(
         state,
         routers,
         pair,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn read_p99_is_nearest_rank() {
+        let state = ReplicatedState::new(1);
+        // 0.99 * 150 = 148.5: nearest rank is the 149th sample.
+        state
+            .read_lats
+            .borrow_mut()
+            .extend((1..=150).map(|lat| (1_000, lat)));
+        assert_eq!(state.read_p99_since(SimTime::ZERO), Some(149));
+        // Reads started before the measurement phase do not count.
+        assert_eq!(state.read_p99_since(SimTime::from_nanos(1_001)), None);
     }
 }
