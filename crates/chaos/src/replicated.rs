@@ -82,9 +82,10 @@ pub enum ReadScope {
     /// Own-key reads are safe to serve from the standby — under `Sync`
     /// ack a write is applied at the backup before its issuer sees the
     /// ack — so with gray routing on, the unpromoted backup answers
-    /// GETs ([`BackupRole::standby_reads`]
-    /// (rfp_kvstore::replica::BackupRole::standby_reads)), and each
-    /// client's router draws from its own de-preference stream.
+    /// GETs ([`BackupRole::standby_reads`][standby]), and each client's router
+    /// draws from its own de-preference stream.
+    ///
+    /// [standby]: rfp_kvstore::replica::BackupRole::standby_reads
     Own,
     /// Reads roam every client's keys (the failover study):
     /// cross-client reads are what make the surviving histories worth
@@ -357,8 +358,9 @@ pub fn spawn_replicated_kv(
     let sinks = RigSinks::new(sim, &cfg.profile, 2 + cfg.clients);
     let partition_cap = (cfg.clients * cfg.keys_per_client * 2).max(64);
     let mut pair = ReplicaPair::connect(&sinks.cluster, partition_cap);
-    // Standby reads power scored routing and hedging; they stay off in
-    // a gray-disabled run so it is byte-identical to the pre-gray rig.
+    // Standby reads power scored routing and hedging. They stay off in
+    // a gray-disabled run, so it is byte-identical to the pre-gray rig,
+    // and for roaming reads (see `ReadScope::Roaming`).
     pair.backup_role
         .standby_reads
         .set(cfg.failover.gray.enabled && cfg.reads == ReadScope::Own);
