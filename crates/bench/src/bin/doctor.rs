@@ -1,4 +1,4 @@
-//! Doctor: fleet diagnosis on the chaos rig.
+//! Doctor: fleet diagnosis on the chaos, replicated and multi-core rigs.
 //!
 //! Runs one scenario per injected fault class (plus a clean baseline)
 //! through the always-on observability plane — flight recorder, rolling
